@@ -8,9 +8,10 @@
    The BENCH section is seeded and the engine deterministic, so the two
    artifacts are normally identical; the tolerance (default 0.25)
    absorbs intentional small shifts — e.g. a protocol tweak that adds a
-   message — while a missing counter/histogram or a drift beyond the
-   tolerance on any back.* / msg.* counter or histogram summary
-   (n, p50, p95, max) fails the @bench-smoke alias.
+   message — while a missing counter/histogram, a drift beyond the
+   tolerance on any back.* / msg.* counter or histogram sample count
+   (n), or a rise beyond it in a histogram's p50, p95 or max fails the
+   @bench-smoke alias.
 
    The scale artifact splits the two regimes explicitly: its counters
    (visit counts, outset-store stats, rounds-to-collect) are exact by
@@ -179,6 +180,11 @@ let gate_profile_shares ~tolerance base fresh =
               (100. *. rep.Dgc_profile.Profile.df_max_share_drift)
               (100. *. tolerance))
 
+(* Histogram summaries: [n] (a sample count, exact for a seeded run)
+   gates both ways like a counter; [p50]/[p95]/[max] gate one-sided —
+   every histogram here is a cost (wall ms, sim latency, frames or
+   messages per trace), so only a fresh value that is larger by more
+   than the tolerance fails. A faster run is never a regression. *)
 let compare_hists ~tol base fresh =
   let bh = obj_fields (Json.member "histograms" base) in
   let fh = obj_fields (Json.member "histograms" fresh) in
@@ -195,7 +201,7 @@ let compare_hists ~tol base fresh =
               in
               match (get bstats, get fstats) with
               | Some b, Some f ->
-                  if not (close ~tol b f) then
+                  if not (close ~tol b f || (field <> "n" && f < b)) then
                     complain "histogram %s.%s: baseline %g, now %g" k field b
                       f
               | _ -> complain "histogram %s.%s missing" k field)

@@ -189,6 +189,16 @@ let profiled_compute t input =
           Prof.work p "workspace_bytes" st.Local_trace.workspace_bytes;
           outcome)
 
+(* Profiled [Local_trace.input_of_site]: the heap export (and the
+   table sample beside it) in a [heap_export] scope, so traced runs
+   attribute it. Without a profiler this is exactly the bare sample. *)
+let profiled_input t site =
+  match Engine.profile t.eng with
+  | None -> Local_trace.input_of_site t.eng site
+  | Some p ->
+      Dgc_profile.Profile.with_scope p "heap_export" (fun () ->
+          Local_trace.input_of_site t.eng site)
+
 (* Everything that happens after a trace's mark phase: install the
    outcome (frees, table swap, update sends), sample the memory
    gauges, trigger back traces, notify. On a classic engine this runs
@@ -251,14 +261,14 @@ let run_scheduled_trace t site_id =
            work the shards exist to parallelize), apply at the
            barrier. The pseudo-window collects any transfer-barrier
            cleans arriving in between. *)
-        let input = Local_trace.input_of_site t.eng c.ctl_site in
+        let input = profiled_input t c.ctl_site in
         let outcome = profiled_compute t input in
         c.ctl_window <- Some { w_input = input; w_cleans = [] };
         apply_at_barrier t site_id outcome
       end
       else begin
         (* Atomic trace. *)
-        let input = Local_trace.input_of_site t.eng c.ctl_site in
+        let input = profiled_input t c.ctl_site in
         let outcome = profiled_compute t input in
         Local_trace.apply t.eng c.ctl_site outcome ~window_cleans:[]
           ~on_cleaned:(Back_trace.on_cleaned t.back site_id)
@@ -269,10 +279,11 @@ let run_scheduled_trace t site_id =
       end
     end
     else begin
-      (* Open a snapshot-at-beginning window (§6.2); back traces keep
-         reading the old tables until the swap. *)
-      let snap = Snapshot.take c.ctl_site.Site.heap in
-      let input = Local_trace.input_of_snapshot t.eng c.ctl_site snap in
+      (* Open a snapshot-at-beginning window (§6.2): the input's dense
+         export is the snapshot, an immutable copy that later writes,
+         allocations and frees do not reach. Back traces keep reading
+         the old tables until the swap. *)
+      let input = profiled_input t c.ctl_site in
       c.ctl_window <- Some { w_input = input; w_cleans = [] };
       Engine.schedule t.eng ~delay:conf.Config.trace_duration (fun () ->
           finish_window t site_id)
@@ -283,7 +294,7 @@ let force_local_trace t site_id =
   let c = ctl t site_id in
   (* Discard any open window: the atomic trace supersedes it. *)
   c.ctl_window <- None;
-  let input = Local_trace.input_of_site t.eng c.ctl_site in
+  let input = profiled_input t c.ctl_site in
   let outcome = profiled_compute t input in
   Local_trace.apply t.eng c.ctl_site outcome ~window_cleans:[]
     ~on_cleaned:(Back_trace.on_cleaned t.back site_id)

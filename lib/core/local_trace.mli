@@ -34,7 +34,6 @@ type mode =
 type input = {
   in_site : Site_id.t;
   in_graph : Reach.graph;
-  in_indices : int list;  (** local objects existing at sample time *)
   in_roots : Oid.t list;  (** persistent + application roots (distance 0) *)
   in_inrefs : (Oid.t * int * bool) list;  (** target, distance, flagged *)
   in_outrefs : Oid.t list;
@@ -42,11 +41,10 @@ type input = {
 }
 
 val input_of_site : Engine.t -> Site.t -> input
-(** Sample the site's current state (atomic trace). *)
-
-val input_of_snapshot : Engine.t -> Site.t -> Snapshot.t -> input
-(** Graph and object set from the snapshot (taken at window start);
-    roots and tables sampled now — call this at window start too. *)
+(** Sample the site's current state: tables, roots and an immutable
+    {!Dgc_heap.Dense} export of the heap. An atomic trace computes
+    over it at once; a §6.2 window samples it at window start and
+    computes at window end, and mutations in between do not reach it. *)
 
 type out_result = {
   o_ref : Oid.t;

@@ -21,68 +21,62 @@ let present t i =
 let is_root t i =
   i >= 0 && i < t.d_bound && Bytes.get t.d_roots i <> '\000'
 
-let indices t =
-  let acc = ref [] in
-  for i = t.d_bound - 1 downto 0 do
-    if Bytes.get t.d_present i <> '\000' then acc := i :: !acc
-  done;
-  !acc
-
-(* Generic two-pass CSR construction. [iter_objs f] must call
-   [f index fields] once per live object; field order is preserved
-   exactly (the trace's union-call sequence depends on it). *)
-let build ~site ~bound ~roots ~n_objects iter_objs =
+(* Two passes over the heap, in ascending index order: the first sizes
+   the rows and the pool, the second fills them. Field order is kept
+   exactly (the trace's union-call sequence depends on it). Nothing is
+   allocated per object: the pool holds every target that is not an
+   in-bound local index — remote references, plus (defensively) local
+   oids outside [0, bound) — and is encoded as [-(pool_index + 1)]. *)
+let of_heap heap =
+  let site = Heap.site heap and bound = Heap.alloc_clock heap in
+  let local_index r =
+    if Site_id.equal (Oid.site r) site then
+      let j = Oid.index r in
+      if j >= 0 && j < bound then j else -1
+    else -1
+  in
   let d_present = Bytes.make (max bound 1) '\000' in
   let d_roots = Bytes.make (max bound 1) '\000' in
-  let deg = Array.make (bound + 1) 0 in
-  iter_objs (fun i fields ->
-      if i >= 0 && i < bound then begin
-        Bytes.set d_present i '\001';
-        deg.(i) <- List.length fields
-      end);
+  let d_start = Array.make (bound + 1) 0 in
+  let n_pool = ref 0 in
+  let rec count deg = function
+    | [] -> deg
+    | r :: tl ->
+        if local_index r < 0 then incr n_pool;
+        count (deg + 1) tl
+  in
+  Heap.iter heap (fun o ->
+      let i = Oid.index o.Heap.oid in
+      Bytes.set d_present i '\001';
+      d_start.(i + 1) <- count 0 o.Heap.fields);
   List.iter
     (fun r ->
       let i = Oid.index r in
       if i >= 0 && i < bound then Bytes.set d_roots i '\001')
-    roots;
-  let d_start = Array.make (bound + 1) 0 in
+    (Heap.persistent_roots heap);
   for i = 0 to bound - 1 do
-    d_start.(i + 1) <- d_start.(i) + deg.(i)
+    d_start.(i + 1) <- d_start.(i) + d_start.(i + 1)
   done;
   let d_codes = Array.make (max d_start.(bound) 1) 0 in
-  (* The pool collects every target that is not an in-bound local
-     index: remote references, plus (defensively) local oids outside
-     [0, bound). Encoded as [-(pool_index + 1)]. *)
-  let pool_rev = ref [] in
-  let n_pool = ref 0 in
-  iter_objs (fun i fields ->
-      if i >= 0 && i < bound then begin
-        let k = ref d_start.(i) in
-        List.iter
-          (fun r ->
-            let code =
-              if Site_id.equal (Oid.site r) site then begin
-                let j = Oid.index r in
-                if j >= 0 && j < bound then j
-                else begin
-                  let p = !n_pool in
-                  incr n_pool;
-                  pool_rev := r :: !pool_rev;
-                  -(p + 1)
-                end
-              end
-              else begin
-                let p = !n_pool in
-                incr n_pool;
-                pool_rev := r :: !pool_rev;
-                -(p + 1)
-              end
-            in
-            d_codes.(!k) <- code;
-            incr k)
-          fields
-      end);
-  let d_pool = Array.of_list (List.rev !pool_rev) in
+  let d_pool =
+    if !n_pool = 0 then [||]
+    else Array.make !n_pool (Oid.make ~site ~index:(-1))
+  in
+  let p = ref 0 in
+  let rec fill k = function
+    | [] -> ()
+    | r :: tl ->
+        let j = local_index r in
+        if j >= 0 then d_codes.(k) <- j
+        else begin
+          d_pool.(!p) <- r;
+          incr p;
+          d_codes.(k) <- - !p
+        end;
+        fill (k + 1) tl
+  in
+  Heap.iter heap (fun o ->
+      fill d_start.(Oid.index o.Heap.oid) o.Heap.fields);
   {
     d_site = site;
     d_bound = bound;
@@ -91,17 +85,5 @@ let build ~site ~bound ~roots ~n_objects iter_objs =
     d_start;
     d_codes;
     d_pool;
-    d_count = n_objects;
+    d_count = Heap.object_count heap;
   }
-
-let of_heap heap =
-  build ~site:(Heap.site heap) ~bound:(Heap.alloc_clock heap)
-    ~roots:(Heap.persistent_roots heap)
-    ~n_objects:(Heap.object_count heap)
-    (fun f -> Heap.iter heap (fun o -> f (Oid.index o.Heap.oid) o.Heap.fields))
-
-let of_snapshot snap =
-  build ~site:(Snapshot.site snap) ~bound:(Snapshot.alloc_clock snap)
-    ~roots:(Snapshot.persistent_roots snap)
-    ~n_objects:(Snapshot.object_count snap)
-    (fun f -> Snapshot.iter_edges snap f)

@@ -2,10 +2,13 @@
 
     The per-trace hot paths (clean phase, fused Tarjan suspect phase,
     dead-set scan) run over contiguous int-indexed arrays instead of
-    closure-per-lookup [find]s. A [t] is a snapshot of the graph at
-    construction time: indices are heap object indices in
-    [0, bound) where [bound] is the heap's allocation clock, adjacency
-    is in CSR form, and roots are a bitset.
+    closure-per-lookup [find]s. A [t] is an immutable copy of the
+    graph at construction time — the §6.2 snapshot-at-beginning of a
+    windowed local trace: later field writes, allocations and frees do
+    not reach it. Indices are heap object indices in [0, bound) where
+    [bound] is the heap's allocation clock at capture (objects born
+    later have larger indices), adjacency is in CSR form, and roots are
+    a bitset.
 
     The representation is exposed on purpose — the trace loops index
     [d_start]/[d_codes] directly. Invariants:
@@ -34,9 +37,9 @@ type t = {
 }
 
 val of_heap : Heap.t -> t
-(** Captures the graph now; later heap mutations are not reflected. *)
-
-val of_snapshot : Snapshot.t -> t
+(** Captures the graph now; later heap mutations are not reflected.
+    O(objects + references), with no allocation per object beyond the
+    result's arrays. *)
 
 val site : t -> Site_id.t
 val bound : t -> int
@@ -46,7 +49,3 @@ val present : t -> int -> bool
 (** False outside [0, bound). *)
 
 val is_root : t -> int -> bool
-
-val indices : t -> int list
-(** Live indices, ascending — equals [Heap.indices] of the source heap
-    at capture time, without the sort. *)

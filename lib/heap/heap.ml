@@ -7,24 +7,50 @@ type obj = {
   mutable size : int;
 }
 
+(* Objects live in an array indexed by allocation index: [alloc] hands
+   out indices densely and in order, so slot [i] holds object [i] until
+   it is freed, and [vacant] (compared physically) marks freed slots and
+   the unused tail. Iteration walks ascending indices. *)
 type t = {
   site : Site_id.t;
-  objects : (int, obj) Hashtbl.t;
+  mutable objects : obj array;
   mutable next_index : int;
+  mutable live : int;
   mutable roots : Oid.t list;
   mutable resident : int;  (** running sum of live object sizes *)
 }
 
+let vacant =
+  {
+    oid = Oid.make ~site:(Site_id.of_int 0) ~index:(-1);
+    fields = [];
+    birth = -1;
+    size = 0;
+  }
+
 let create site =
-  { site; objects = Hashtbl.create 64; next_index = 0; roots = []; resident = 0 }
+  {
+    site;
+    objects = Array.make 64 vacant;
+    next_index = 0;
+    live = 0;
+    roots = [];
+    resident = 0;
+  }
 
 let site t = t.site
 
 let alloc ?(size = 1) t =
   let index = t.next_index in
+  if index = Array.length t.objects then begin
+    let grown = Array.make (2 * index) vacant in
+    Array.blit t.objects 0 grown 0 index;
+    t.objects <- grown
+  end;
   t.next_index <- index + 1;
   let oid = Oid.make ~site:t.site ~index in
-  Hashtbl.add t.objects index { oid; fields = []; birth = index; size };
+  t.objects.(index) <- { oid; fields = []; birth = index; size };
+  t.live <- t.live + 1;
   t.resident <- t.resident + size;
   oid
 
@@ -32,11 +58,17 @@ let bytes_resident t = t.resident
 
 let alloc_clock t = t.next_index
 
+(* The object in slot [i], or [vacant]. *)
+let slot t i = if i >= 0 && i < t.next_index then t.objects.(i) else vacant
+
 let find t oid =
   if not (Site_id.equal (Oid.site oid) t.site) then None
-  else Hashtbl.find_opt t.objects (Oid.index oid)
+  else
+    let o = slot t (Oid.index oid) in
+    if o == vacant then None else Some o
 
-let mem t oid = Option.is_some (find t oid)
+let mem t oid =
+  Site_id.equal (Oid.site oid) t.site && slot t (Oid.index oid) != vacant
 
 let get t oid =
   match find t oid with Some o -> o | None -> raise Not_found
@@ -74,12 +106,26 @@ let add_persistent_root t oid =
     t.roots <- oid :: t.roots
 
 let persistent_roots t = t.roots
-let iter t f = Hashtbl.iter (fun _ o -> f o) t.objects
-let fold t ~init ~f = Hashtbl.fold (fun _ o acc -> f acc o) t.objects init
-let object_count t = Hashtbl.length t.objects
+
+let iter t f =
+  for i = 0 to t.next_index - 1 do
+    let o = t.objects.(i) in
+    if o != vacant then f o
+  done
+
+let fold t ~init ~f =
+  let acc = ref init in
+  iter t (fun o -> acc := f !acc o);
+  !acc
+
+let object_count t = t.live
 
 let indices t =
-  Hashtbl.fold (fun i _ acc -> i :: acc) t.objects [] |> List.sort Int.compare
+  let acc = ref [] in
+  for i = t.next_index - 1 downto 0 do
+    if t.objects.(i) != vacant then acc := i :: !acc
+  done;
+  !acc
 
 let free t idxs =
   (* Root indices once up front, not a root-list walk per freed index. *)
@@ -87,12 +133,14 @@ let free t idxs =
   List.iter (fun r -> Hashtbl.replace root_idx (Oid.index r) ()) t.roots;
   List.fold_left
     (fun n i ->
-      match Hashtbl.find_opt t.objects i with
-      | Some o when not (Hashtbl.mem root_idx i) ->
-          Hashtbl.remove t.objects i;
-          t.resident <- t.resident - o.size;
-          n + 1
-      | Some _ | None -> n)
+      let o = slot t i in
+      if o == vacant || Hashtbl.mem root_idx i then n
+      else begin
+        t.objects.(i) <- vacant;
+        t.live <- t.live - 1;
+        t.resident <- t.resident - o.size;
+        n + 1
+      end)
     0 idxs
 
 let pp ppf t =
@@ -100,13 +148,10 @@ let pp ppf t =
     t.site (object_count t)
     (Format.pp_print_list ~pp_sep:Format.pp_print_space Oid.pp)
     t.roots;
-  List.iter
-    (fun i ->
-      let o = Hashtbl.find t.objects i in
+  iter t (fun o ->
       Format.fprintf ppf "  %a -> [%a]@," Oid.pp o.oid
         (Format.pp_print_list
            ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
            Oid.pp)
-        o.fields)
-    (indices t);
+        o.fields);
   Format.fprintf ppf "@]"

@@ -1,27 +1,8 @@
 open Dgc_prelude
 
-type graph = {
-  g_site : Site_id.t;
-  g_mem : Oid.t -> bool;
-  g_fields : Oid.t -> Oid.t list;
-  g_dense : Dense.t;
-}
+type graph = { g_site : Site_id.t; g_dense : Dense.t }
 
-let of_heap heap =
-  {
-    g_site = Heap.site heap;
-    g_mem = (fun oid -> Heap.mem heap oid);
-    g_fields = (fun oid -> Heap.fields heap oid);
-    g_dense = Dense.of_heap heap;
-  }
-
-let of_snapshot snap =
-  {
-    g_site = Snapshot.site snap;
-    g_mem = (fun oid -> Snapshot.mem snap oid);
-    g_fields = (fun oid -> Snapshot.fields snap oid);
-    g_dense = Dense.of_snapshot snap;
-  }
+let of_heap heap = { g_site = Heap.site heap; g_dense = Dense.of_heap heap }
 
 let is_local g oid = Site_id.equal (Oid.site oid) g.g_site
 

@@ -9,17 +9,15 @@ open Dgc_prelude
 
 type graph = {
   g_site : Site_id.t;
-  g_mem : Oid.t -> bool;  (** object is present locally *)
-  g_fields : Oid.t -> Oid.t list;
   g_dense : Dense.t;
-      (** dense export used by the traversal hot paths. Captured when
-          the graph is built: with [of_heap], later heap mutations show
-          through [g_mem]/[g_fields] but not here — build the graph
-          immediately before computing over it. *)
+      (** immutable export the traversals run over, captured when the
+          graph is built: later heap mutations do not show through —
+          build the graph immediately before computing over it, or at
+          the start of a §6.2 trace window to compute over its
+          snapshot. *)
 }
 
 val of_heap : Heap.t -> graph
-val of_snapshot : Snapshot.t -> graph
 
 val closure : graph -> from:Oid.t list -> Oid.Set.t * Oid.Set.t
 (** [closure g ~from] is [(locals, remotes)]: the set of local objects

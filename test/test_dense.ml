@@ -1,7 +1,8 @@
 (* Dense export equivalence: the CSR adjacency + bitsets must encode
-   exactly the Heap (or Snapshot) they were built from, over randomized
-   multi-site graph_gen heaps — the byte-identity of trace outcomes
-   rests on this. *)
+   exactly the Heap they were built from, and keep encoding it after
+   the heap is mutated (the export is the §6.2 window's snapshot), over
+   randomized multi-site graph_gen heaps — the byte-identity of trace
+   outcomes rests on this. *)
 
 open Dgc_prelude
 open Dgc_simcore
@@ -33,13 +34,16 @@ let decode_fields (d : Dense.t) i =
   done;
   !out
 
+let dense_indices (d : Dense.t) =
+  List.filter (Dense.present d) (List.init (Dense.bound d) Fun.id)
+
 let check_against_heap heap =
   let d = Dense.of_heap heap in
   let bound = Dense.bound d in
   Alcotest.(check int) "bound = alloc clock" (Heap.alloc_clock heap) bound;
   Alcotest.(check int)
     "object count" (Heap.object_count heap) (Dense.object_count d);
-  Alcotest.(check (list int)) "indices" (Heap.indices heap) (Dense.indices d);
+  Alcotest.(check (list int)) "indices" (Heap.indices heap) (dense_indices d);
   let site = Heap.site heap in
   for i = 0 to bound - 1 do
     let oid = Oid.make ~site ~index:i in
@@ -58,23 +62,38 @@ let check_against_heap heap =
     Alcotest.(check bool) (Printf.sprintf "root %d" i) expect (Dense.is_root d i)
   done
 
-let check_against_snapshot heap =
-  let snap = Snapshot.take heap in
-  let d = Dense.of_snapshot snap in
-  Alcotest.(check (list int)) "indices" (Snapshot.indices snap)
-    (Dense.indices d);
-  let site = Snapshot.site snap in
-  for i = 0 to Dense.bound d - 1 do
-    let oid = Oid.make ~site ~index:i in
-    Alcotest.(check bool)
-      (Printf.sprintf "present %d" i)
-      (Snapshot.mem snap oid) (Dense.present d i);
-    if Dense.present d i then
+(* An export taken before the heap is mutated keeps encoding the heap
+   as it was: later field writes, allocations and frees do not reach
+   it, and its bound stays the allocation clock at capture. *)
+let check_against_snapshot ~rng heap =
+  let site = Heap.site heap in
+  let clock = Heap.alloc_clock heap in
+  let before =
+    List.map
+      (fun i -> (i, Heap.fields heap (Oid.make ~site ~index:i)))
+      (Heap.indices heap)
+  in
+  let d = Dense.of_heap heap in
+  let fresh = Heap.alloc heap in
+  List.iter
+    (fun (i, _) ->
+      let oid = Oid.make ~site ~index:i in
+      if Rng.bool rng then Heap.add_field heap ~obj:oid ~target:fresh
+      else Heap.clear_fields heap oid)
+    before;
+  ignore (Heap.free heap (List.map fst before));
+  Alcotest.(check int) "bound = clock at capture" clock (Dense.bound d);
+  Alcotest.(check (list int)) "indices at capture" (List.map fst before)
+    (dense_indices d);
+  Alcotest.(check bool) "later object absent" false
+    (Dense.present d (Oid.index fresh));
+  List.iter
+    (fun (i, fields) ->
       Alcotest.(check (list string))
-        (Printf.sprintf "fields of %d" i)
-        (List.map Oid.to_string (Snapshot.fields snap oid))
-        (List.map Oid.to_string (decode_fields d i))
-  done
+        (Printf.sprintf "fields of %d at capture" i)
+        (List.map Oid.to_string fields)
+        (List.map Oid.to_string (decode_fields d i)))
+    before
 
 (* Randomized graph_gen heaps, including holes from frees. *)
 let prop_matches_heap =
@@ -97,14 +116,14 @@ let prop_matches_heap =
           in
           ignore (Heap.free heap victims);
           check_against_heap heap;
-          check_against_snapshot heap)
+          check_against_snapshot ~rng heap)
         (Engine.sites eng);
       true)
 
 let test_empty_heap () =
   let heap = Heap.create (Site_id.of_int 0) in
   check_against_heap heap;
-  check_against_snapshot heap
+  check_against_snapshot ~rng:(Rng.create ~seed:1) heap
 
 let () =
   Alcotest.run "dense"

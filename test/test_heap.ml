@@ -1,5 +1,5 @@
-(* Heap substrate: oids, object store, snapshots, local reachability,
-   Tarjan SCC vs a brute-force oracle. *)
+(* Heap substrate: oids, object store, the dense export as a snapshot,
+   local reachability, Tarjan SCC vs a brute-force oracle. *)
 
 open Dgc_prelude
 open Dgc_heap
@@ -83,20 +83,33 @@ let test_heap_indices_and_counts () =
 
 (* --- snapshot ------------------------------------------------------------ *)
 
+(* The dense export is the §6.2 snapshot: taken before a mutation, it
+   keeps the old edges, lacks later objects and still holds objects
+   freed since, and its bound is the allocation clock at capture. *)
 let test_snapshot_immutable () =
   let h = Heap.create s0 in
   let a = Heap.alloc h in
   let b = Heap.alloc h in
   Heap.add_field h ~obj:a ~target:b;
-  let snap = Snapshot.take h in
+  let snap = Dense.of_heap h in
   (* mutate after the snapshot *)
   ignore (Heap.remove_field h ~obj:a ~target:b);
   let c = Heap.alloc h in
-  Alcotest.(check (list oid)) "snapshot keeps old edge" [ b ]
-    (Snapshot.fields snap a);
-  Alcotest.(check bool) "snapshot lacks new object" false (Snapshot.mem snap c);
-  Alcotest.(check int) "clock from capture time" 2 (Snapshot.alloc_clock snap);
-  Alcotest.(check int) "object count" 2 (Snapshot.object_count snap)
+  Heap.add_field h ~obj:a ~target:c;
+  ignore (Heap.free h [ Oid.index b ]);
+  let codes i =
+    Array.to_list
+      (Array.sub snap.Dense.d_codes snap.Dense.d_start.(i)
+         (snap.Dense.d_start.(i + 1) - snap.Dense.d_start.(i)))
+  in
+  Alcotest.(check (list int)) "snapshot keeps old edge" [ Oid.index b ]
+    (codes (Oid.index a));
+  Alcotest.(check bool) "snapshot lacks new object" false
+    (Dense.present snap (Oid.index c));
+  Alcotest.(check bool) "snapshot keeps freed object" true
+    (Dense.present snap (Oid.index b));
+  Alcotest.(check int) "clock from capture time" 2 (Dense.bound snap);
+  Alcotest.(check int) "object count" 2 (Dense.object_count snap)
 
 (* --- reachability --------------------------------------------------------- *)
 
@@ -271,7 +284,8 @@ let prop_closure_matches_bfs =
 (* --- model-based heap property -------------------------------------------- *)
 
 (* Random operation sequences against a pure reference model: an
-   association list of index -> field list, plus a root set. *)
+   association list of index -> field list, plus a root set. Sequences
+   run long enough to grow the heap past its initial capacity. *)
 type model_op =
   | M_alloc
   | M_add of int * int  (* obj choice, target choice *)
@@ -303,7 +317,7 @@ let print_op = function
 let prop_heap_matches_model =
   QCheck2.Test.make ~name:"heap matches a pure model" ~count:300
     ~print:QCheck2.Print.(list print_op)
-    QCheck2.Gen.(list_size (int_bound 60) model_op_gen)
+    QCheck2.Gen.(list_size (int_bound 400) model_op_gen)
     (fun ops ->
       let h = Heap.create s0 in
       let model : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
@@ -381,6 +395,39 @@ let prop_heap_matches_model =
         Hashtbl.fold (fun k _ acc -> k :: acc) model [] |> List.sort Int.compare
       in
       if Heap.indices h <> model_indices then failwith "index sets differ";
+      if Heap.object_count h <> List.length model_indices then
+        failwith "object counts differ";
+      (* [iter]/[fold] visit live objects in ascending index order. *)
+      let visited =
+        Heap.fold h ~init:[] ~f:(fun acc o -> Oid.index o.Heap.oid :: acc)
+      in
+      if List.rev visited <> model_indices then failwith "iteration order";
+      (* Negative, out-of-range, freed and foreign-site oids are absent. *)
+      let absent o =
+        (not (Heap.mem h o)) && Heap.find h o = None && Heap.fields h o = []
+      in
+      let freed =
+        List.filter
+          (fun i -> not (Hashtbl.mem model i))
+          (List.init !next Fun.id)
+      in
+      if
+        not
+          (List.for_all
+             (fun i -> absent (oid i))
+             ([ -1; min_int; !next; !next + 1; 1 lsl 20 ] @ freed))
+      then failwith "stray oid found";
+      if
+        List.exists
+          (fun i -> not (absent (Oid.make ~site:s1 ~index:i)))
+          model_indices
+      then failwith "foreign-site oid found";
+      List.iter
+        (fun i ->
+          match Heap.find h (oid i) with
+          | Some o when Oid.equal o.Heap.oid (oid i) -> ()
+          | _ -> failwith "find disagrees with the model")
+        model_indices;
       Hashtbl.iter
         (fun x fl ->
           let got =

@@ -133,7 +133,9 @@ let test_suspected_after_delta_rounds () =
 
 (* --- outsets: three modes vs brute force ------------------------------ *)
 
-let brute_outsets inp =
+(* Brute force over the live heap the input was sampled from, not over
+   the input's dense export. *)
+let brute_outsets heap inp =
   let graph = inp.Local_trace.in_graph in
   let delta = inp.Local_trace.in_delta in
   let clean_roots =
@@ -153,12 +155,12 @@ let brute_outsets inp =
         let rec go z =
           if Site_id.equal (Oid.site z) inp.Local_trace.in_site then begin
             if
-              graph.Reach.g_mem z
+              Heap.mem heap z
               && (not (Oid.Set.mem z clean_locals))
               && not (Oid.Set.mem z !visited)
             then begin
               visited := Oid.Set.add z !visited;
-              List.iter go (graph.Reach.g_fields z)
+              List.iter go (Heap.fields heap z)
             end
           end
           else if not (Oid.Set.mem z clean_remotes) then
@@ -180,9 +182,9 @@ let outsets_of_outcome outcome =
     outcome.Local_trace.in_results
   |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
 
-let check_modes_match inp =
+let check_modes_match heap inp =
   let brute =
-    brute_outsets inp
+    brute_outsets heap inp
     |> List.map (fun (r, l) -> (r, List.sort Oid.compare l))
     |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
   in
@@ -220,7 +222,8 @@ let test_fig2_outsets_modes () =
   let eng = f.Scenario.f2_sim.Sim.eng in
   suspect_everything eng;
   Array.iter
-    (fun s -> check_modes_match (Local_trace.input_of_site eng s))
+    (fun s ->
+      check_modes_match s.Site.heap (Local_trace.input_of_site eng s))
     (Engine.sites eng)
 
 let test_fig4_naive_is_wrong () =
@@ -230,7 +233,7 @@ let test_fig4_naive_is_wrong () =
   suspect_everything eng;
   let inp = Local_trace.input_of_site eng q in
   (* Correct modes agree with brute force. *)
-  check_modes_match inp;
+  check_modes_match q.Site.heap inp;
   let outset_of mode r =
     let outcome = Local_trace.compute ~mode inp in
     List.assoc r (outsets_of_outcome outcome)
@@ -282,7 +285,7 @@ let random_input rand =
   (* occasionally a persistent root *)
   if Random.State.bool rand then
     Heap.add_persistent_root q.Site.heap objs.(Random.State.int rand n);
-  Local_trace.input_of_site eng q
+  (q.Site.heap, Local_trace.input_of_site eng q)
 
 let prop_modes_equal_brute =
   QCheck2.Test.make ~name:"outset modes match brute force" ~count:200
@@ -290,8 +293,8 @@ let prop_modes_equal_brute =
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
       let rand = Random.State.make [| seed |] in
-      let inp = random_input rand in
-      check_modes_match inp;
+      let heap, inp = random_input rand in
+      check_modes_match heap inp;
       true)
 
 (* Independent tracing visits at least as many objects as bottom-up. *)
@@ -301,7 +304,7 @@ let prop_independent_cost =
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
       let rand = Random.State.make [| seed |] in
-      let inp = random_input rand in
+      let _, inp = random_input rand in
       let bu =
         (Local_trace.compute ~mode:Local_trace.Bottom_up inp)
           .Local_trace.ot_stats
@@ -476,6 +479,44 @@ let prop_distance_theorem_random_sccs =
       done;
       !ok)
 
+(* --- the heap export's allocation ------------------------------------- *)
+
+(* Sampling a site allocates on the minor heap only for its tables and
+   roots, not per object: the dense export's arrays are the only
+   per-object storage. [Gc.minor_words] is deterministic, so the words
+   of [input_of_site] at 10k and 20k objects (one root, a chain) must
+   agree to within a few words. *)
+let test_export_words_flat () =
+  let sim = Sim.make ~cfg:{ cfg_atomic with Config.n_sites = 1 } () in
+  let eng = sim.Sim.eng in
+  let site = Engine.site eng (site_id 0) in
+  let heap = site.Site.heap in
+  let grow n =
+    for _ = 1 to n do
+      let prev =
+        Oid.make ~site:(site_id 0) ~index:(Heap.alloc_clock heap - 1)
+      in
+      let o = Heap.alloc heap in
+      if Heap.mem heap prev then Heap.add_field heap ~obj:prev ~target:o
+      else Heap.add_persistent_root heap o
+    done
+  in
+  let words () =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Local_trace.input_of_site eng site));
+    Gc.minor_words () -. w0
+  in
+  grow 10_000;
+  ignore (words ());
+  let at_10k = words () in
+  grow 10_000;
+  let at_20k = words () in
+  Alcotest.(check int) "objects" 20_000 (Heap.object_count heap);
+  if Float.abs (at_20k -. at_10k) >= 100. then
+    Alcotest.failf
+      "input_of_site minor words grew with the heap: %.0f at 10k, %.0f at 20k"
+      at_10k at_20k
+
 let qsuite =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
@@ -518,6 +559,11 @@ let () =
             test_apply_sends_distance_updates;
           Alcotest.test_case "snapshot window keeps fresh objects" `Quick
             test_sweep_keeps_fresh_objects;
+        ] );
+      ( "export",
+        [
+          Alcotest.test_case "input_of_site words flat in heap size" `Quick
+            test_export_words_flat;
         ] );
       ("properties", qsuite);
     ]
