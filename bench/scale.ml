@@ -11,7 +11,8 @@
      memoized outset unions, saturating to few distinct outsets — the
      §5.2 hash-consing regime), and a slab of unreferenced local
      garbage (dead-set + sweep work). [Local_trace.compute] is timed
-     over repeated runs, then [apply] once.
+     over repeated runs; [apply], which frees the dead set, once on
+     each of [wall_reps] fresh copies of the workload.
 
    - Ring bench: a 4-site sim with rooted filler chains per site plus
      unrooted cross-site cycle rings; rounds are timed until the rings
@@ -19,8 +20,12 @@
 
    Everything is seeded and the engine deterministic, so every counter
    in the emitted artifact (visit counts, outset-store stats, rounds
-   to collect) is exact and gated exactly by compare.exe; only the
-   wall-clock histograms vary by machine and get a generous tolerance.
+   to collect) and every histogram's sample count is exact and gated
+   exactly by compare.exe; only the wall-clock histograms vary by
+   machine. Each holds at least [wall_reps] samples, and compare.exe
+   gates only its median, one-sided and with a generous tolerance: a
+   single sample of a sub-millisecond phase measures host stalls, not
+   code.
    The default tier set (t1k, t10k) is the committed-baseline smoke
    configuration; --full adds t100k, which is not part of the baseline
    (the acceptance run records it in EXPERIMENTS.md instead). *)
@@ -48,6 +53,9 @@ let cfg_base =
   }
 
 let site = Site_id.of_int
+
+(* Minimum samples per wall-clock histogram. *)
+let wall_reps = 5
 
 (* --- phase bench workload --------------------------------------------- *)
 
@@ -119,13 +127,17 @@ let record_stats m ~tier (st : Local_trace.stats) =
   c "suspected_outrefs" st.Local_trace.suspected_outrefs
 
 let phase_bench m ~tier ~n ~reps =
-  let cfg = { cfg_base with Config.n_sites = 3; seed = 1000 + n } in
-  let sim = Sim.make ~cfg () in
-  let eng = sim.Sim.eng in
-  let rng = Rng.create ~seed:(77 + n) in
-  let n_q = build_phase_workload eng ~n ~rng in
-  let q = Engine.site eng (site 1) in
-  let inp = Local_trace.input_of_site eng q in
+  (* Seeded, so every call builds the same workload. *)
+  let setup () =
+    let cfg = { cfg_base with Config.n_sites = 3; seed = 1000 + n } in
+    let sim = Sim.make ~cfg () in
+    let eng = sim.Sim.eng in
+    let rng = Rng.create ~seed:(77 + n) in
+    let n_q = build_phase_workload eng ~n ~rng in
+    let q = Engine.site eng (site 1) in
+    (eng, q, n_q, Local_trace.input_of_site eng q)
+  in
+  let eng, q, n_q, inp = setup () in
   let hist name v =
     Metrics.hist_observe m (Printf.sprintf "scale.%s{tier=%s}" name tier) v
   in
@@ -156,15 +168,23 @@ let phase_bench m ~tier ~n ~reps =
   (* §5.1 comparison point: one full trace per suspected inref. Too
      costly at the top tier by design — that is the paper's argument
      for §5.2 — so only the smoke tiers run it. *)
-  if n <= 10_000 then begin
+  if n <= 10_000 then
+    for _ = 1 to wall_reps do
+      let t0 = now_ms () in
+      ignore (Local_trace.compute ~mode:Local_trace.Independent inp);
+      hist "compute_independent_ms" (now_ms () -. t0)
+    done;
+  let timed_apply eng q o =
     let t0 = now_ms () in
-    ignore (Local_trace.compute ~mode:Local_trace.Independent inp);
-    hist "compute_independent_ms" (now_ms () -. t0)
-  end;
-  let t0 = now_ms () in
-  Local_trace.apply eng q o ~window_cleans:[] ~on_cleaned:ignore
-    ~oracle_check:false;
-  hist "apply_ms" (now_ms () -. t0);
+    Local_trace.apply eng q o ~window_cleans:[] ~on_cleaned:ignore
+      ~oracle_check:false;
+    hist "apply_ms" (now_ms () -. t0)
+  in
+  timed_apply eng q o;
+  for _ = 2 to wall_reps do
+    let eng, q, _, inp = setup () in
+    timed_apply eng q (Local_trace.compute ~mode:Local_trace.Bottom_up inp)
+  done;
   say "  %-6s objects=%-7d compute(p50 of %d reps)=%.2fms dead=%d" tier n_q
     reps
     (match
@@ -180,8 +200,12 @@ let phase_bench m ~tier ~n ~reps =
    engine: (windows, cross-shard messages, max queue skew). *)
 let last_shard_stats = ref None
 
+(* [record] adds the run's counters, series samples and round walls to
+   the artifact; [time_rounds] alone adds just the round walls, for the
+   extra reps of a recorded ring. *)
 let ring_bench ?(sanitize = false) ?(flight = true) ?(profile = false)
-    ?(record = true) ?(shards = 1) ?(domains = 1) m ~tier ~n =
+    ?(record = true) ?(time_rounds = record) ?(shards = 1) ?(domains = 1) m
+    ~tier ~n =
   let cfg =
     {
       cfg_base with
@@ -282,7 +306,7 @@ let ring_bench ?(sanitize = false) ?(flight = true) ?(profile = false)
       let dt = now_ms () -. t0 in
       wall_ms := !wall_ms +. dt;
       sample_floating ();
-      if record then
+      if time_rounds then
         Metrics.hist_observe m
           (Printf.sprintf "scale.round_ms{tier=%s}" tier)
           dt;
@@ -333,6 +357,14 @@ let ring_bench ?(sanitize = false) ?(flight = true) ?(profile = false)
   in
   Engine.teardown eng;
   result
+
+(* The rest of a recorded ring's [wall_reps] runs: only their round
+   walls are kept. *)
+let more_ring_reps ?sanitize ?profile m ~tier ~n =
+  for _ = 2 to wall_reps do
+    ignore
+      (ring_bench ?sanitize ?profile ~record:false ~time_rounds:true m ~tier ~n)
+  done
 
 (* --- shard bench: the sharded-engine domains axis ---------------------- *)
 
@@ -405,6 +437,7 @@ let () =
       say "tier %s: %d objects/site" tier n;
       phase_bench m ~tier ~n ~reps;
       let secs, wall, series, prof = ring_bench ~profile:true m ~tier ~n in
+      more_ring_reps ~profile:true m ~tier ~n;
       Hashtbl.replace ring_wall tier wall;
       (* the t10k ring's series and profile sections are the committed,
          gated ones: the series gauges are functions of sim time and
@@ -430,6 +463,7 @@ let () =
   let secs_san, wall_san, _, _ =
     ring_bench ~sanitize:true m ~tier:"t10k_san" ~n:10_000
   in
+  more_ring_reps ~sanitize:true m ~tier:"t10k_san" ~n:10_000;
   sim_secs := !sim_secs +. secs_san;
   let wall_off = Hashtbl.find ring_wall "t10k" in
   let ratio = if wall_off > 0. then wall_san /. wall_off else nan in

@@ -9,7 +9,10 @@ let compare a b =
   | 0 -> Int.compare a.seq b.seq
   | c -> c
 
-let pp ppf t = Format.fprintf ppf "T%a.%d" Site_id.pp t.initiator t.seq
+(* "T<initiator>.<seq>", with the initiator as [Site_id.pp] prints it;
+   built without a formatter, since telemetry keys are made per message. *)
+let to_string t = Printf.sprintf "TS%d.%d" (Site_id.to_int t.initiator) t.seq
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 module Ord = struct
   type nonrec t = t

@@ -109,8 +109,7 @@ type t = {
     Protocol.payload ->
     unit)
     option;
-  mutable on_step : (unit -> unit) option;
-  mutable step_watchers : (unit -> unit) list;  (** run after [on_step] *)
+  mutable step_watchers : (unit -> unit) list;
   mutable sanitizer : san_hooks option;
 }
 
@@ -185,7 +184,6 @@ let mk_record cfg ~rng ~sites ~shard_id ~shard_of ~id_stride ~id_residue =
     profile = None;
     series = Tel.Series.create ();
     msg_monitor = None;
-    on_step = None;
     step_watchers = [];
     sanitizer = None;
   }
@@ -251,10 +249,6 @@ let set_msg_monitor t f =
       "Engine.set_msg_monitor: not supported on a sharded engine (shards \
        send concurrently; no single observation order exists)";
   t.msg_monitor <- Some f
-
-let clear_msg_monitor t = t.msg_monitor <- None
-let set_on_step t f = t.on_step <- Some f
-let clear_on_step t = t.on_step <- None
 
 let add_step_watcher t f = t.step_watchers <- t.step_watchers @ [ f ]
 
@@ -430,6 +424,13 @@ let flight_drop t ~src ~dst ~reason payload =
       Tel.Flight.record f ~site:(Site_id.to_int src) ~at:(now_s t)
         ~kind:Tel.Flight.Drop ~a:(Site_id.to_int src) ~b:(Site_id.to_int dst)
         ~tag:(Protocol.kind payload) ~payload:reason ()
+
+(* One copy of a collector message destroyed without delivery: its
+   [msg.dropped.<reason>] count, flight record and sanitizer fate. *)
+let drop t ~src ~dst ~capsule ~reason payload =
+  Metrics.incr t.metrics ("msg.dropped." ^ reason);
+  flight_drop t ~src ~dst ~reason payload;
+  san_dropped t capsule ~reason
 
 let flight_fault t ~tag detail =
   match t.flight with
@@ -726,6 +727,39 @@ and note_move_stalled t ~why payload =
         "move-ack (token %d) parked by %s: sender pins held" token why
   | _ -> ()
 
+(* Base messages are never lost: one that cannot reach its destination
+   waits for the heal, or for the destination's recovery. *)
+and park_partitioned t ~src ~dst ~capsule payload =
+  note_move_stalled t ~why:"partition" payload;
+  t.part_parked <- (src, dst, payload, capsule) :: t.part_parked
+
+and park_crashed t ~src ~dst ~capsule payload =
+  note_move_stalled t ~why:"crash" payload;
+  let q =
+    match Hashtbl.find_opt t.parked dst with
+    | Some q -> q
+    | None ->
+        let q = ref [] in
+        Hashtbl.add t.parked dst q;
+        q
+  in
+  q := (src, payload, capsule) :: !q
+
+(* Where every copy in flight lands — sent locally, across shards, in a
+   deferred batch, or redelivered after parking: if the path was
+   partitioned or the destination crashed meanwhile, a collector
+   message is dropped and a base message parked; otherwise it is
+   delivered. *)
+and arrive t ~src ~dst ~capsule payload =
+  let is_ext = Protocol.is_ext payload in
+  if not (reachable t src dst) then
+    if is_ext then drop t ~src ~dst ~capsule ~reason:"partition" payload
+    else park_partitioned t ~src ~dst ~capsule payload
+  else if (site t dst).Site.crashed then
+    if is_ext then drop t ~src ~dst ~capsule ~reason:"crashed" payload
+    else park_crashed t ~src ~dst ~capsule payload
+  else deliver t ~src ~dst ~capsule payload
+
 and send_now t ~src ~dst ~capsule payload =
   let kind = Protocol.kind payload in
   let bytes = Protocol.approx_bytes payload in
@@ -737,37 +771,15 @@ and send_now t ~src ~dst ~capsule payload =
   Metrics.hist_observe t.metrics ("msg.size." ^ kind) (float_of_int bytes);
   let dst_site = site t dst in
   let is_ext = Protocol.is_ext payload in
-  if is_ext && dst_site.Site.crashed then begin
-    Metrics.incr t.metrics "msg.dropped.crashed";
-    flight_drop t ~src ~dst ~reason:"crashed" payload;
-    san_dropped t capsule ~reason:"crashed"
-  end
-  else if is_ext && not (reachable t src dst) then begin
-    Metrics.incr t.metrics "msg.dropped.partition";
-    flight_drop t ~src ~dst ~reason:"partition" payload;
-    san_dropped t capsule ~reason:"partition"
-  end
-  else if is_ext && Rng.chance t.rng (ext_drop_p t) then begin
-    Metrics.incr t.metrics "msg.dropped.lossy";
-    flight_drop t ~src ~dst ~reason:"lossy" payload;
-    san_dropped t capsule ~reason:"lossy"
-  end
-  else if not (reachable t src dst) then begin
-    note_move_stalled t ~why:"partition" payload;
-    t.part_parked <- (src, dst, payload, capsule) :: t.part_parked
-  end
-  else if dst_site.Site.crashed then begin
-    note_move_stalled t ~why:"crash" payload;
-    let q =
-      match Hashtbl.find_opt t.parked dst with
-      | Some q -> q
-      | None ->
-          let q = ref [] in
-          Hashtbl.add t.parked dst q;
-          q
-    in
-    q := (src, payload, capsule) :: !q
-  end
+  if is_ext && dst_site.Site.crashed then
+    drop t ~src ~dst ~capsule ~reason:"crashed" payload
+  else if is_ext && not (reachable t src dst) then
+    drop t ~src ~dst ~capsule ~reason:"partition" payload
+  else if is_ext && Rng.chance t.rng (ext_drop_p t) then
+    drop t ~src ~dst ~capsule ~reason:"lossy" payload
+  else if not (reachable t src dst) then
+    park_partitioned t ~src ~dst ~capsule payload
+  else if dst_site.Site.crashed then park_crashed t ~src ~dst ~capsule payload
   else begin
     let fly_local () =
       let id = t.next_msg_id in
@@ -778,39 +790,7 @@ and send_now t ~src ~dst ~capsule payload =
       let delay = sample_latency t in
       schedule t ~delay (fun () ->
           Hashtbl.remove t.in_flight id;
-          if not (reachable t src dst) then begin
-            (* Partitioned while the message was in flight. *)
-            if is_ext then begin
-              Metrics.incr t.metrics "msg.dropped.partition";
-              flight_drop t ~src ~dst ~reason:"partition" payload;
-              san_dropped t capsule ~reason:"partition"
-            end
-            else begin
-              note_move_stalled t ~why:"partition" payload;
-              t.part_parked <- (src, dst, payload, capsule) :: t.part_parked
-            end
-          end
-          else if (site t dst).Site.crashed then begin
-            (* Crashed while the message was in flight. *)
-            if is_ext then begin
-              Metrics.incr t.metrics "msg.dropped.crashed";
-              flight_drop t ~src ~dst ~reason:"crashed" payload;
-              san_dropped t capsule ~reason:"crashed"
-            end
-            else begin
-              note_move_stalled t ~why:"crash" payload;
-              let q =
-                match Hashtbl.find_opt t.parked dst with
-                | Some q -> q
-                | None ->
-                    let q = ref [] in
-                    Hashtbl.add t.parked dst q;
-                    q
-              in
-              q := (src, payload, capsule) :: !q
-            end
-          end
-          else deliver t ~src ~dst ~capsule payload)
+          arrive t ~src ~dst ~capsule payload)
     in
     (* A shard sending to a site another shard owns must not touch the
        peer's queue or tables mid-window: the flight is buffered in
@@ -826,37 +806,7 @@ and send_now t ~src ~dst ~capsule payload =
       let seq = t.out_seq in
       t.out_seq <- seq + 1;
       let dsh = m.shards.(dst_sh) in
-      let run () =
-        if not (reachable dsh src dst) then begin
-          if is_ext then begin
-            Metrics.incr dsh.metrics "msg.dropped.partition";
-            flight_drop dsh ~src ~dst ~reason:"partition" payload
-          end
-          else begin
-            note_move_stalled dsh ~why:"partition" payload;
-            dsh.part_parked <- (src, dst, payload, capsule) :: dsh.part_parked
-          end
-        end
-        else if (site dsh dst).Site.crashed then begin
-          if is_ext then begin
-            Metrics.incr dsh.metrics "msg.dropped.crashed";
-            flight_drop dsh ~src ~dst ~reason:"crashed" payload
-          end
-          else begin
-            note_move_stalled dsh ~why:"crash" payload;
-            let q =
-              match Hashtbl.find_opt dsh.parked dst with
-              | Some q -> q
-              | None ->
-                  let q = ref [] in
-                  Hashtbl.add dsh.parked dst q;
-                  q
-            in
-            q := (src, payload, capsule) :: !q
-          end
-        end
-        else deliver dsh ~src ~dst ~capsule payload
-      in
+      let run () = arrive dsh ~src ~dst ~capsule payload in
       t.outbox :=
         {
           om_at = at;
@@ -908,33 +858,18 @@ and flush_batch t ~src ~dst payloads =
         (float_of_int (Protocol.approx_bytes p)))
     payloads;
   let drop_all reason =
-    List.iter
-      (fun (p, c) ->
-        flight_drop t ~src ~dst ~reason p;
-        san_dropped t c ~reason)
-      payloads
+    List.iter (fun (p, capsule) -> drop t ~src ~dst ~capsule ~reason p) payloads
   in
-  if (site t dst).Site.crashed || not (reachable t src dst) then begin
-    Metrics.add t.metrics "msg.dropped.crashed" (List.length payloads);
-    drop_all "crashed"
-  end
-  else if Rng.chance t.rng (ext_drop_p t) then begin
-    Metrics.add t.metrics "msg.dropped.lossy" (List.length payloads);
-    drop_all "lossy"
-  end
+  if (site t dst).Site.crashed then drop_all "crashed"
+  else if not (reachable t src dst) then drop_all "partition"
+  else if Rng.chance t.rng (ext_drop_p t) then drop_all "lossy"
   else begin
     let fly () =
       let delay = sample_latency t in
       schedule t ~delay (fun () ->
-          if reachable t src dst && not (site t dst).Site.crashed then
-            List.iter
-              (fun (p, capsule) -> deliver t ~src ~dst ~capsule p)
-              payloads
-          else begin
-            Metrics.add t.metrics "msg.dropped.crashed"
-              (List.length payloads);
-            drop_all "crashed"
-          end)
+          List.iter
+            (fun (p, capsule) -> arrive t ~src ~dst ~capsule p)
+            payloads)
     in
     fly ();
     (* Whole-batch duplication: deferred collector batches are one wire
@@ -1013,24 +948,7 @@ let partition t groups =
    the base protocol must be reliable. *)
 let redeliver_parked t ~src ~dst ~capsule payload =
   let delay = sample_latency t in
-  schedule t ~delay (fun () ->
-      if not (reachable t src dst) then begin
-        note_move_stalled t ~why:"partition" payload;
-        t.part_parked <- (src, dst, payload, capsule) :: t.part_parked
-      end
-      else if (site t dst).Site.crashed then begin
-        note_move_stalled t ~why:"crash" payload;
-        let q =
-          match Hashtbl.find_opt t.parked dst with
-          | Some q -> q
-          | None ->
-              let q = ref [] in
-              Hashtbl.add t.parked dst q;
-              q
-        in
-        q := (src, payload, capsule) :: !q
-      end
-      else deliver t ~src ~dst ~capsule payload)
+  schedule t ~delay (fun () -> arrive t ~src ~dst ~capsule payload)
 
 let heal t =
   let t = root t in
@@ -1147,9 +1065,7 @@ let stop_gc_schedule t = t.gc_running <- false
 
 (* --- run loop --------------------------------------------------------- *)
 
-let run_step_hooks t =
-  (match t.on_step with Some h -> h () | None -> ());
-  List.iter (fun w -> w ()) t.step_watchers
+let run_step_hooks t = List.iter (fun w -> w ()) t.step_watchers
 
 let step_nth t n =
   if sharded t then

@@ -232,20 +232,13 @@ val peek_time : t -> Sim_time.t option
 val nth_time : t -> int -> Sim_time.t option
 (** Timestamp of the earliest / [n]-th earliest pending event. *)
 
-val set_on_step : t -> (unit -> unit) -> unit
-(** Install a hook that runs after every executed event ({!step},
-    {!step_nth}, and thus {!run_until}/{!run_for}). [Sim.make] uses it
-    to wire [Config.Check_step] sanitizer checking; exceptions raised
-    by the hook propagate out of the run functions. *)
-
-val clear_on_step : t -> unit
-
 val add_step_watcher : t -> (unit -> unit) -> unit
-(** Append a step watcher: watchers run after every executed event, in
-    registration order, after the {!set_on_step} hook, and are never
-    cleared by {!clear_on_step}. Unlike the single [on_step] slot
-    (owned by [Sim.make]'s sanitizer), any number of watchers can
-    coexist — the watchdog registers itself here. *)
+(** Append a step watcher: watchers run after every executed event
+    ({!step}, {!step_nth}, and thus {!run_until}/{!run_for}), in
+    registration order, and cannot be removed. [Sim.make] registers
+    the [Config.Check_step] invariant check first; the watchdog and
+    the sanitizer register after it. Exceptions raised by a watcher
+    propagate out of the run functions. *)
 
 val set_msg_monitor :
   t ->
@@ -260,8 +253,6 @@ val set_msg_monitor :
     at actual delivery (including batched flushes and redeliveries
     after heal/recover). The conformance checker keys its per-role
     ordering automata on [`Deliver] events. *)
-
-val clear_msg_monitor : t -> unit
 
 (** {1 Sanitizer hooks}
 

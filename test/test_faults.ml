@@ -342,6 +342,41 @@ let test_deferral_wire_savings () =
     true
     (defer_total <= eager_total * 2)
 
+let test_deferral_partition_drops_counted () =
+  (* A deferred batch that meets a partition is dropped as a
+     partition, not a crash — at the flush and on landing alike. *)
+  let report =
+    Protocol.Ext
+      (Back_trace.Back_report
+         { trace = Trace_id.make ~initiator:(s 0) ~seq:0; outcome = Verdict.Live })
+  in
+  let run ~partition_at_ms =
+    let cfg_defer =
+      { (cfg 2) with Config.defer_interval = Sim_time.of_millis 100. }
+    in
+    let sim = Sim.make ~cfg:cfg_defer () in
+    let eng = sim.Sim.eng in
+    Engine.send eng ~src:(s 0) ~dst:(s 1) report;
+    (* the batch flushes at 100 ms and lands 5 ms later *)
+    Engine.run_for eng (Sim_time.of_millis partition_at_ms);
+    Engine.partition eng [ [ s 0 ]; [ s 1 ] ];
+    Engine.run_for eng (Sim_time.of_seconds 1.);
+    let m = Engine.metrics eng in
+    Alcotest.(check int)
+      (Printf.sprintf "partition at %g ms: batch flushed" partition_at_ms)
+      1 (Metrics.get m "msg.batches");
+    Alcotest.(check int)
+      (Printf.sprintf "partition at %g ms: counted as partition" partition_at_ms)
+      1
+      (Metrics.get m "msg.dropped.partition");
+    Alcotest.(check int)
+      (Printf.sprintf "partition at %g ms: not counted as crashed" partition_at_ms)
+      0
+      (Metrics.get m "msg.dropped.crashed")
+  in
+  run ~partition_at_ms:50.;
+  run ~partition_at_ms:102.
+
 let () =
   Alcotest.run "faults"
     [
@@ -373,5 +408,7 @@ let () =
           Alcotest.test_case "batches and still collects" `Quick
             test_deferral_batches_messages;
           Alcotest.test_case "wire savings" `Quick test_deferral_wire_savings;
+          Alcotest.test_case "partitioned batch counted as partition" `Quick
+            test_deferral_partition_drops_counted;
         ] );
     ]
