@@ -83,9 +83,10 @@ let on_report t ~trace =
   let e = entry t trace in
   e.e_reports <- e.e_reports + 1
 
-(* First conclusion wins: a blind §4.5 report re-send may conclude the
-   same trace twice at the initiator; the ledger keeps the original
-   verdict and critical path. *)
+(* The back trace concludes each trace at most once: only the
+   initiator's single root frame concludes, and §4.5 report re-sends
+   never do. Should a trace conclude twice anyway, the first verdict
+   and critical path stand. *)
 let on_conclude t ~trace ~outcome ~at =
   let e = entry t trace in
   if e.e_outcome = None then begin

@@ -48,7 +48,9 @@ val on_timeout : t -> trace:string -> unit
 val on_report : t -> trace:string -> unit
 
 val on_conclude : t -> trace:string -> outcome:string -> at:float -> unit
-(** First conclusion wins (duplicate reports re-conclude). *)
+(** Called when the initiator's single root frame concludes, at most
+    once per trace (report re-sends never conclude); should it come
+    twice, the first conclusion wins. *)
 
 (** {1 Reading} *)
 
