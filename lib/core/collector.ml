@@ -152,33 +152,30 @@ let sample_memory t site_id outcome =
    per-phase subscopes (clean / suspect / assemble) driven by the
    [?probe] hook, plus the outcome's deterministic work-unit stats —
    object visits, outset algebra, memo hits, workspace bytes —
-   attributed to the [local_trace] node. Without a profiler this is
-   exactly the bare compute. *)
+   attributed to the [local_trace] node. The probe fires as a phase
+   ends, so each tick closes the scope it names and opens the next
+   one. Without a profiler this is exactly the bare compute. *)
 let profiled_compute t input =
   match Engine.profile t.eng with
   | None -> Local_trace.compute input
   | Some p ->
       let module Prof = Dgc_profile.Profile in
       Prof.enter p "local_trace";
-      let open_sub = ref false in
-      let close_sub () =
-        if !open_sub then begin
-          Prof.leave p;
-          open_sub := false
-        end
-      in
+      Prof.enter p "clean";
+      let open_sub = ref true in
       let probe tag =
-        close_sub ();
-        Prof.enter p tag;
-        open_sub := true
+        Prof.leave p;
+        match tag with
+        | "clean" -> Prof.enter p "suspect"
+        | "suspect" -> Prof.enter p "assemble"
+        | _ -> open_sub := false
       in
       Fun.protect
         ~finally:(fun () ->
-          close_sub ();
+          if !open_sub then Prof.leave p;
           Prof.leave p)
         (fun () ->
           let outcome = Local_trace.compute ~probe input in
-          close_sub ();
           let st = outcome.Local_trace.ot_stats in
           Prof.work p "visits"
             (st.Local_trace.clean_visits + st.Local_trace.suspect_visits);

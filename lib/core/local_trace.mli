@@ -86,7 +86,9 @@ type outcome = {
 
 val compute : ?mode:mode -> ?probe:(string -> unit) -> input -> outcome
 (** [probe] (for benchmarks) fires once per internal phase as it
-    completes, with tags ["clean"], ["suspect"], ["assemble"]. *)
+    completes, with tags ["clean"], ["suspect"], ["assemble"]. Each
+    call reuses its domain's trace workspace, so [probe] must not call
+    [compute] itself. *)
 
 val apply :
   Engine.t ->

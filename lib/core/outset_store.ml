@@ -68,6 +68,16 @@ let create ?(memoize = true) () =
   t.count <- 1;
   t
 
+let clear t =
+  Array.fill t.sets 0 t.count [||];
+  t.count <- 1;
+  Ktbl.clear t.interned;
+  Ktbl.add t.interned [||] 0;
+  Itbl.clear t.memo;
+  Oid.Tbl.clear t.singl;
+  t.u_calls <- 0;
+  t.u_hits <- 0
+
 (* [sorted] is owned by the store after this call. *)
 let intern t sorted =
   match Ktbl.find_opt t.interned sorted with
@@ -87,9 +97,9 @@ let intern t sorted =
 let empty _t = 0
 
 let singleton t r =
-  match Oid.Tbl.find_opt t.singl r with
-  | Some id -> id
-  | None ->
+  match Oid.Tbl.find t.singl r with
+  | id -> id
+  | exception Not_found ->
       let id = intern t [| r |] in
       Oid.Tbl.add t.singl r id;
       id

@@ -7,16 +7,15 @@
     integer id, and the results of unions are memoized on pairs of
     ids. Re-doing a memoized union is O(1).
 
-    A store lives for one local trace and is discarded afterwards;
-    only the resulting per-inref outsets (plain lists) are retained,
-    as in the paper.
+    A store's contents live for one local trace and are discarded
+    afterwards ({!clear}); only the resulting per-inref outsets (plain
+    lists) are retained, as in the paper.
 
-    Domain-safety: a store is confined to the single [compute] call
-    that created it — every cache (interning table, union memo,
-    singleton cache) is per-instance, never module-level — so
-    concurrent traces on different shards each build their own store
-    and never share one. Do not retain a store across the trace or
-    hand it to another domain. *)
+    Domain-safety: every cache (interning table, union memo, singleton
+    cache) is per-instance, never module-level. The local trace keeps
+    one store per domain in its domain-local workspace and clears it at
+    the start of each [compute], so concurrent traces on different
+    shards never share one. Do not hand a store to another domain. *)
 
 open Dgc_heap
 
@@ -31,6 +30,13 @@ type id = int
     memo table, the §5.2 optimization. Disable only for the ablation
     bench; results are identical either way. *)
 val create : ?memoize:bool -> unit -> t
+
+val clear : t -> unit
+(** Empty the store: ids, interned sets, memo and statistics restart
+    as after {!create}, but the tables keep their grown capacity, so a
+    store reused across traces stops rehashing once it has seen its
+    largest trace. *)
+
 val empty : t -> id
 val singleton : t -> Oid.t -> id
 val union : t -> id -> id -> id

@@ -47,15 +47,18 @@ let cyclic_garbage_sites eng =
     (garbage_set eng) Site_id.Set.empty
 
 let check_would_free eng site_id idxs =
-  let live = live_set eng in
-  List.iter
-    (fun i ->
-      let oid = Oid.make ~site:site_id ~index:i in
-      if Oid.Set.mem oid live then
-        raise
-          (Safety_violation
-             (Format.asprintf "about to free live object %a" Oid.pp oid)))
-    idxs
+  match idxs with
+  | [] -> ()
+  | _ ->
+      let live = live_set eng in
+      List.iter
+        (fun i ->
+          let oid = Oid.make ~site:site_id ~index:i in
+          if Oid.Set.mem oid live then
+            raise
+              (Safety_violation
+                 (Format.asprintf "about to free live object %a" Oid.pp oid)))
+        idxs
 
 let assert_no_garbage eng =
   let g = garbage_set eng in

@@ -30,7 +30,8 @@ val cyclic_garbage_sites : Engine.t -> Site_id.Set.t
 val check_would_free : Engine.t -> Site_id.t -> int list -> unit
 (** [check_would_free eng site idxs]: the collector at [site] is about
     to free the objects with local indices [idxs]. Raises
-    {!Safety_violation} naming the first live one, if any. *)
+    {!Safety_violation} naming the first live one, if any. With no
+    indices it returns at once, without walking the global live set. *)
 
 val assert_no_garbage : Engine.t -> unit
 (** Raises {!Safety_violation} listing remaining garbage, for

@@ -1,14 +1,26 @@
 open Dgc_prelude
 open Dgc_heap
 
+(* [in_view]/[out_view] cache the sorted views. Only membership
+   decides them (the elements are the live records and their targets
+   are immutable), so they are dropped exactly when an entry is created
+   or deleted, and rebuilt on the next call. *)
 type t = {
   site : Site_id.t;
   in_tbl : Ioref.inref Oid.Tbl.t;
   out_tbl : Ioref.outref Oid.Tbl.t;
+  mutable in_view : Ioref.inref list option;
+  mutable out_view : Ioref.outref list option;
 }
 
 let create site =
-  { site; in_tbl = Oid.Tbl.create 32; out_tbl = Oid.Tbl.create 32 }
+  {
+    site;
+    in_tbl = Oid.Tbl.create 32;
+    out_tbl = Oid.Tbl.create 32;
+    in_view = None;
+    out_view = None;
+  }
 
 let site t = t.site
 let find_inref t r = Oid.Tbl.find_opt t.in_tbl r
@@ -21,14 +33,28 @@ let ensure_inref t r =
   | None ->
       let ir = Ioref.make_inref r in
       Oid.Tbl.add t.in_tbl r ir;
+      t.in_view <- None;
       ir
 
-let remove_inref t r = Oid.Tbl.remove t.in_tbl r
+let remove_inref t r =
+  if Oid.Tbl.mem t.in_tbl r then begin
+    Oid.Tbl.remove t.in_tbl r;
+    t.in_view <- None
+  end
+
 let iter_inrefs t f = Oid.Tbl.iter (fun _ ir -> f ir) t.in_tbl
 
 let inrefs t =
-  Oid.Tbl.fold (fun _ ir acc -> ir :: acc) t.in_tbl []
-  |> List.sort (fun a b -> Oid.compare a.Ioref.ir_target b.Ioref.ir_target)
+  match t.in_view with
+  | Some v -> v
+  | None ->
+      let v =
+        Oid.Tbl.fold (fun _ ir acc -> ir :: acc) t.in_tbl []
+        |> List.sort (fun a b ->
+               Oid.compare a.Ioref.ir_target b.Ioref.ir_target)
+      in
+      t.in_view <- Some v;
+      v
 
 let inref_count t = Oid.Tbl.length t.in_tbl
 let find_outref t r = Oid.Tbl.find_opt t.out_tbl r
@@ -41,14 +67,28 @@ let ensure_outref t ?(dist = 1) r =
   | None ->
       let o = Ioref.make_outref ~dist r in
       Oid.Tbl.add t.out_tbl r o;
+      t.out_view <- None;
       (o, true)
 
-let remove_outref t r = Oid.Tbl.remove t.out_tbl r
+let remove_outref t r =
+  if Oid.Tbl.mem t.out_tbl r then begin
+    Oid.Tbl.remove t.out_tbl r;
+    t.out_view <- None
+  end
+
 let iter_outrefs t f = Oid.Tbl.iter (fun _ o -> f o) t.out_tbl
 
 let outrefs t =
-  Oid.Tbl.fold (fun _ o acc -> o :: acc) t.out_tbl []
-  |> List.sort (fun a b -> Oid.compare a.Ioref.or_target b.Ioref.or_target)
+  match t.out_view with
+  | Some v -> v
+  | None ->
+      let v =
+        Oid.Tbl.fold (fun _ o acc -> o :: acc) t.out_tbl []
+        |> List.sort (fun a b ->
+               Oid.compare a.Ioref.or_target b.Ioref.or_target)
+      in
+      t.out_view <- Some v;
+      v
 
 let outref_count t = Oid.Tbl.length t.out_tbl
 

@@ -24,7 +24,12 @@ val iter_inrefs : t -> (Ioref.inref -> unit) -> unit
 val inrefs : t -> Ioref.inref list
 (** Sorted by target oid. Use where traversal order is observable:
     pretty-printing, snapshots, conformance checks, and anything that
-    feeds deterministic statistics or tie-breaks. *)
+    feeds deterministic statistics or tie-breaks.
+
+    The view is cached and shared: until an {!ensure_inref} creates an
+    entry or a {!remove_inref} deletes one, every call returns the same
+    (physically equal) list and allocates nothing. Its elements are the
+    live records, so their mutable fields read current values. *)
 
 val inref_count : t -> int
 
@@ -42,7 +47,8 @@ val iter_outrefs : t -> (Ioref.outref -> unit) -> unit
 (** Unspecified order; see {!iter_inrefs}. *)
 
 val outrefs : t -> Ioref.outref list
-(** Sorted by target oid; see {!inrefs}. *)
+(** Sorted by target oid, cached and shared until membership changes;
+    see {!inrefs}. *)
 
 val outref_count : t -> int
 

@@ -89,6 +89,23 @@ let test_check_would_free_raises () =
        false
      with Dgc_oracle.Oracle.Safety_violation _ -> true)
 
+(* Nothing to free cannot free a live object, so the check skips the
+   global live-set walk: no allocation however large the heap. *)
+let test_check_would_free_nothing () =
+  let eng = Engine.create (cfg 2) in
+  let prev = ref (Builder.root_obj eng (s 0)) in
+  for i = 1 to 2_000 do
+    let o = Builder.obj eng (s (i mod 2)) in
+    Builder.link eng ~src:!prev ~dst:o;
+    prev := o
+  done;
+  let w0 = Gc.minor_words () in
+  Dgc_oracle.Oracle.check_would_free eng (s 0) [];
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "no live-set walk (%.0f words)" words)
+    true (words < 64.)
+
 let test_assert_no_garbage () =
   let eng = Engine.create (cfg 1) in
   let _root = Builder.root_obj eng (s 0) in
@@ -140,6 +157,8 @@ let () =
         [
           Alcotest.test_case "check_would_free" `Quick
             test_check_would_free_raises;
+          Alcotest.test_case "check_would_free nothing to free" `Quick
+            test_check_would_free_nothing;
           Alcotest.test_case "assert_no_garbage" `Quick test_assert_no_garbage;
           Alcotest.test_case "detect missing outref" `Quick
             test_table_violations_detect_corruption;

@@ -135,6 +135,71 @@ let test_profiler_schedule_neutral () =
   Alcotest.(check (list (pair string int)))
     "event-identical counters" counters_on counters_off
 
+(* --- local-trace phase scopes ------------------------------------------ *)
+
+(* Each phase scope of a profiled local trace must hold the cost of the
+   phase it names. With minor words as the profiler's clock the cost is
+   deterministic, so each scope is checked against a [compute ~probe]
+   replay on the same input: the probe ticks as a phase ends. *)
+let test_local_trace_phase_scopes () =
+  let cfg = { cfg_fig with Config.n_sites = 3; threshold2 = 1_000 } in
+  let sim = Sim.make ~cfg () in
+  let eng = sim.Sim.eng in
+  ignore
+    (Graph_gen.hypertext eng
+       ~rng:(Dgc_prelude.Rng.create ~seed:5)
+       ~docs_per_site:30 ~pages_per_doc:6 ~cross_links:60 ~rooted_frac:0.8);
+  Sim.start sim;
+  Sim.run_rounds sim 6;
+  let site = Engine.site eng (Dgc_prelude.Site_id.of_int 0) in
+  let inp = Local_trace.input_of_site eng site in
+  let replay () =
+    let last = ref (Gc.minor_words ()) and phases = ref [] in
+    let probe tag =
+      let w = Gc.minor_words () in
+      phases := (tag, w -. !last) :: !phases;
+      last := Gc.minor_words ()
+    in
+    ignore (Local_trace.compute ~probe inp);
+    List.rev !phases
+  in
+  ignore (replay ());
+  let replayed = replay () in
+  let p = Prof.create ~clock:(fun () -> Gc.minor_words ()) () in
+  Engine.attach_profile eng p;
+  Collector.force_local_trace sim.Sim.col site.Site.id;
+  let scope_words path =
+    let nodes =
+      match Json.member "nodes" (Prof.to_json p) with
+      | Some (Json.Arr l) -> l
+      | _ -> Alcotest.fail "profile has no nodes"
+    in
+    match
+      List.find_opt
+        (fun n -> Json.member "path" n = Some (Json.Str path))
+        nodes
+    with
+    | None -> Alcotest.failf "no %s scope" path
+    | Some n -> (
+        match Option.bind (Json.member "wall_ns" n) Json.to_int_opt with
+        | Some ns -> float_of_int ns /. 1e9
+        | None -> Alcotest.failf "%s has no wall" path)
+  in
+  let tolerance = 50. in
+  List.iter
+    (fun (tag, words) ->
+      List.iter
+        (fun (other, w) ->
+          if other <> tag && Float.abs (w -. words) <= 4. *. tolerance then
+            Alcotest.failf "replay phases %s and %s too alike to tell apart"
+              tag other)
+        replayed;
+      let got = scope_words ("all;local_trace;" ^ tag) in
+      if Float.abs (got -. words) > tolerance then
+        Alcotest.failf "scope %s holds %.0f words, its phase %.0f" tag got
+          words)
+    replayed
+
 (* --- diff -------------------------------------------------------------- *)
 
 let mkprof phases =
@@ -272,6 +337,11 @@ let () =
             test_same_seed_fingerprint;
           Alcotest.test_case "profiler is schedule-neutral" `Quick
             test_profiler_schedule_neutral;
+        ] );
+      ( "local_trace",
+        [
+          Alcotest.test_case "phase scopes match a probe replay" `Quick
+            test_local_trace_phase_scopes;
         ] );
       ( "diff",
         [ Alcotest.test_case "share-drift verdict" `Quick test_diff_verdict ] );

@@ -93,6 +93,84 @@ let test_tables () =
   Tables.remove_inref t local;
   Alcotest.(check bool) "removed" true (Tables.find_inref t local = None)
 
+(* The sorted views are cached until membership changes. Model: after
+   any sequence of creates and deletes (interleaved with view reads,
+   which fill the cache), each view equals a fresh sort of the table,
+   element for element; an immediate repeat returns the same list and
+   allocates nothing. *)
+type view_op =
+  | Ens_in of int
+  | Rem_in of int
+  | Ens_out of int
+  | Rem_out of int
+  | Read
+
+let view_op_gen =
+  QCheck2.Gen.(
+    let idx = int_bound 12 in
+    frequency
+      [
+        (3, map (fun i -> Ens_in i) idx);
+        (2, map (fun i -> Rem_in i) idx);
+        (3, map (fun i -> Ens_out i) idx);
+        (2, map (fun i -> Rem_out i) idx);
+        (2, pure Read);
+      ])
+
+let print_view_op = function
+  | Ens_in i -> Printf.sprintf "ensure_in %d" i
+  | Rem_in i -> Printf.sprintf "remove_in %d" i
+  | Ens_out i -> Printf.sprintf "ensure_out %d" i
+  | Rem_out i -> Printf.sprintf "remove_out %d" i
+  | Read -> "read"
+
+let test_views_cached =
+  QCheck2.Test.make ~name:"sorted views cached until membership changes"
+    ~count:300 ~print:(QCheck2.Print.list print_view_op)
+    QCheck2.Gen.(list_size (int_bound 60) view_op_gen)
+    (fun ops ->
+      let t = Tables.create (s 0) in
+      let local i = Oid.make ~site:(s 0) ~index:i in
+      let remote i = Oid.make ~site:(s (1 + (i mod 2))) ~index:i in
+      let same_elements a b =
+        List.length a = List.length b && List.for_all2 ( == ) a b
+      in
+      let fresh_in () =
+        let acc = ref [] in
+        Tables.iter_inrefs t (fun ir -> acc := ir :: !acc);
+        List.sort
+          (fun a b -> Oid.compare a.Ioref.ir_target b.Ioref.ir_target)
+          !acc
+      in
+      let fresh_out () =
+        let acc = ref [] in
+        Tables.iter_outrefs t (fun o -> acc := o :: !acc);
+        List.sort
+          (fun a b -> Oid.compare a.Ioref.or_target b.Ioref.or_target)
+          !acc
+      in
+      let check () =
+        let v_in = Tables.inrefs t and v_out = Tables.outrefs t in
+        let w0 = Gc.minor_words () in
+        let again_in = Tables.inrefs t in
+        let again_out = Tables.outrefs t in
+        let words = Gc.minor_words () -. w0 in
+        same_elements v_in (fresh_in ())
+        && same_elements v_out (fresh_out ())
+        && again_in == v_in && again_out == v_out && words = 0.
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Ens_in i -> ignore (Tables.ensure_inref t (local i))
+          | Rem_in i -> Tables.remove_inref t (local i)
+          | Ens_out i -> ignore (Tables.ensure_outref t (remote i))
+          | Rem_out i -> Tables.remove_outref t (remote i)
+          | Read -> ());
+          op <> Read || check ())
+        ops
+      && check ())
+
 let test_protocol_kinds () =
   Alcotest.(check string) "insert kind" "insert"
     (Protocol.kind (Protocol.Insert { r = Oid.make ~site:(s 0) ~index:0; by = s 1 }));
@@ -447,7 +525,11 @@ let () =
           Alcotest.test_case "source lists" `Quick test_inref_sources;
           Alcotest.test_case "clean predicates" `Quick test_clean_predicates;
         ] );
-      ("tables", [ Alcotest.test_case "tables" `Quick test_tables ]);
+      ( "tables",
+        [
+          Alcotest.test_case "tables" `Quick test_tables;
+          QCheck_alcotest.to_alcotest test_views_cached;
+        ] );
       ("protocol", [ Alcotest.test_case "kinds and refs" `Quick test_protocol_kinds ]);
       ( "builder",
         [
