@@ -449,16 +449,15 @@ let inject_fault sim fault =
   let eng = sim.Sim.eng in
   let fired = ref false in
   let when_tracing f =
-    Engine.add_step_watcher eng (fun () ->
-        if
-          (not !fired)
-          && List.exists
-               (fun (_, st) -> st.Back_trace.ts_outcome = None)
-               (Back_trace.stats (Collector.back sim.Sim.col))
-        then begin
+    Engine.observe eng (function
+      | Engine.Stepped
+        when (not !fired)
+             && List.exists
+                  (fun (_, st) -> st.Back_trace.ts_outcome = None)
+                  (Back_trace.stats (Collector.back sim.Sim.col)) ->
           fired := true;
           f ()
-        end)
+      | _ -> ())
   in
   match fault with
   | F_none -> ()

@@ -24,10 +24,12 @@ let make ?(cfg = Config.default) () =
   | Config.Check_step ->
       (* Sanitizer mode: the continuously-maintained §6.1 invariants
          after every event, skipping sites mid-trace-window (§6.2).
-         Registered before anything else can add a watcher, so it runs
-         first. *)
-      Engine.add_step_watcher eng (fun () ->
-          Invariants.check_exn ~skip:(Collector.in_window col) eng)
+         Registered before anything else can add an observer, so it
+         runs first. *)
+      Engine.observe eng (function
+        | Engine.Stepped ->
+            Invariants.check_exn ~skip:(Collector.in_window col) eng
+        | _ -> ())
   | Config.Check_off | Config.Check_final -> ());
   { eng; col; muts }
 

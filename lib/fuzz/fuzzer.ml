@@ -56,23 +56,37 @@ type exec_result = {
 
 (* Both taps share one per-run recorder sized and seeded like the
    global map, so slot indices line up for [Coverage.absorb]. The
-   protocol key crosses the automaton state with the live fault mask;
-   the journal key crosses the category with the mask and the last
-   automaton state seen — the same journal line means something
-   different inside a partition window than outside one. *)
-let attach_taps ~local ~mask_of ~journal eng =
+   protocol key crosses the payload's registered kind label (so the
+   collectors' ext kinds stay apart) and the automaton state after the
+   delivery — this observer registers after the monitor — with the
+   live fault mask; the journal key crosses the category with the mask
+   and the last automaton state seen — the same journal line means
+   something different inside a partition window than outside one.
+   Journal lines are events only while a journal is attached. *)
+let attach_taps ~local ~mask_of eng =
   let last_state = ref 0 in
-  if not (Engine.sharded eng) then begin
-    let conf = Conformance.create () in
-    Conformance.attach conf eng;
-    Conformance.set_observer conf (fun ~kind ~state ->
-        last_state := state;
+  let conf =
+    if Engine.sharded eng then None
+    else begin
+      let conf = Conformance.create () in
+      Conformance.attach conf eng;
+      Some conf
+    end
+  in
+  Engine.observe eng (function
+    | Engine.Delivered m -> (
+        match conf with
+        | Some conf ->
+            let state = Conformance.state_code conf in
+            last_state := state;
+            Coverage.record local
+              (Printf.sprintf "p|%s|%d|%d" (Protocol.kind m.Engine.payload)
+                 state (mask_of ()))
+        | None -> ())
+    | Engine.Logged e ->
         Coverage.record local
-          (Printf.sprintf "p|%s|%d|%d" kind state (mask_of ())))
-  end;
-  Journal.set_on_record journal (fun e ->
-      Coverage.record local
-        (Printf.sprintf "j|%s|%d|%d" e.Journal.cat (mask_of ()) !last_state))
+          (Printf.sprintf "j|%s|%d|%d" e.Journal.cat (mask_of ()) !last_state)
+    | _ -> ())
 
 let contains_sub ~sub s =
   let n = String.length sub and m = String.length s in
@@ -81,10 +95,11 @@ let contains_sub ~sub s =
 
 let plan_tweak opts ~shards cfg =
   let cfg = Input.tweak_all opts.o_tweaks cfg in
-  (* The flight recorder owns the journal's single on-record tap; fuzz
-     runs trade the crash dump for the coverage signal. [domains] is
-     pinned to 1: artifacts are a function of (seed, shards) alone and
-     worker domains buy nothing inside a fuzz exec. *)
+  (* No flight recorder: a fuzz exec is judged by its coverage and
+     verdict, never by a crash dump, so the rings would be pure cost on
+     every one of thousands of runs. [domains] is pinned to 1:
+     artifacts are a function of (seed, shards) alone and worker
+     domains buy nothing inside a fuzz exec. *)
   { cfg with Config.shards; domains = 1; flight_capacity = 0 }
 
 let exec_plan opts ~local ~shards (p : Input.plan_case) =
@@ -93,7 +108,7 @@ let exec_plan opts ~local ~shards (p : Input.plan_case) =
   let probe pb =
     attach_taps ~local
       ~mask_of:(fun () -> Inject.active_mask pb.Campaign.pb_inject)
-      ~journal:pb.Campaign.pb_journal pb.Campaign.pb_eng
+      pb.Campaign.pb_eng
   in
   let oc = Campaign.run_case ~tweak:(plan_tweak opts ~shards) ~probe case in
   let failure =
@@ -126,15 +141,9 @@ let exec_sched ~local (s : Input.sched_case) =
   | Some sut ->
       let probe inst =
         let eng = inst.Explorer.i_sim.Dgc_core.Sim.eng in
-        let journal =
-          match Engine.journal eng with
-          | Some j -> j
-          | None ->
-              let j = Journal.create () in
-              Engine.attach_journal eng j;
-              j
-        in
-        attach_taps ~local ~mask_of:(fun () -> 0) ~journal eng
+        if Option.is_none (Engine.journal eng) then
+          Engine.attach_journal eng (Journal.create ());
+        attach_taps ~local ~mask_of:(fun () -> 0) eng
       in
       let run =
         Explorer.run_schedule ~probe sut ~max_steps:s.Input.si_max_steps

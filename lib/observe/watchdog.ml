@@ -231,13 +231,15 @@ let attach ?(stuck_factor = 3.0) ?(starvation_bumps = 4) ?(survive_rounds = 3)
       flight_dump = None;
     }
   in
-  Engine.add_step_watcher e (fun () ->
-      let now = Engine.now e in
-      if Sim_time.compare (Sim_time.sub now t.last_check) t.interval >= 0
-      then begin
-        t.last_check <- now;
-        ignore (run_checks t)
-      end);
+  Engine.observe e (function
+    | Engine.Stepped ->
+        let now = Engine.now e in
+        if Sim_time.compare (Sim_time.sub now t.last_check) t.interval >= 0
+        then begin
+          t.last_check <- now;
+          ignore (run_checks t)
+        end
+    | _ -> ());
   t
 
 let set_leak_probe t probe = t.leak_probe <- Some probe

@@ -10,25 +10,38 @@ type move_wait = {
   wait_since : Sim_time.t;  (** insert-barrier stall start (§6.1.2) *)
 }
 
-(* Sanitizer hooks (dgc-san). When installed, the engine piggybacks an
-   opaque capsule (minted by [san_send]) on every payload so the
-   sanitizer can carry vector clocks from send to delivery, reports
-   the fate of every copy (delivered, dropped, duplicated), and labels
-   §4.6 timers. When absent — the default — none of these are called,
-   no capsule state exists, and the event/rng stream is bit-identical
-   to a build without the hooks. *)
-type san_hooks = {
-  san_send : src:Site_id.t -> dst:Site_id.t -> Protocol.payload -> int;
-      (** a logical send: returns the capsule to ride with the payload
-          (one in-flight copy is implied) *)
-  san_copy : int -> unit;  (** another in-flight copy (dup channel) *)
-  san_dropped : int -> reason:string -> unit;
-      (** one copy destroyed without delivery *)
-  san_deliver :
-    src:Site_id.t -> dst:Site_id.t -> capsule:int -> Protocol.payload -> unit;
-  san_timer_armed : site:Site_id.t -> key:string -> at:Sim_time.t -> int;
-  san_timer_fired : int -> unit;
+(* One logical send. Every copy the network makes of it (duplication,
+   parking, redelivery) is this same value, so [capsule] — minted from
+   a plain per-record counter that draws no randomness — names the send
+   across all of its fates. *)
+type msg = {
+  src : Site_id.t;
+  dst : Site_id.t;
+  payload : Protocol.payload;
+  capsule : int;
 }
+
+type event =
+  | Sent of msg
+  | Wired of msg
+  | Batched of msg list
+  | Copied of msg
+  | Dropped of { msg : msg; reason : string }
+  | Parked of { msg : msg; reason : string }
+  | Delivered of msg
+  | Unstalled of { site : Site_id.t; waited : Sim_time.t }
+  | Timer_armed of {
+      id : int;
+      at : Sim_time.t;
+      label : unit -> Site_id.t * string;
+    }
+  | Timer_fired of int
+  | Partitioned of Site_id.t list list
+  | Healed
+  | Crashed of Site_id.t
+  | Recovered of { site : Site_id.t; was_crashed : bool }
+  | Logged of Journal.entry
+  | Stepped
 
 (* A collector message crossing a shard boundary inside a window: the
    sender buffers it here (with the latency already sampled from its
@@ -76,8 +89,7 @@ type t = {
   mutable next_token : int;
   mutable next_msg_id : int;
   in_flight : (int, Oid.t list) Hashtbl.t;
-  parked :
-    (Site_id.t, (Site_id.t * Protocol.payload * int) list ref) Hashtbl.t;
+  parked : (Site_id.t, msg list ref) Hashtbl.t;
   (* per destination site: (ref being inserted -> waiting move token) *)
   awaiting_insert : (Site_id.t * Oid.t, int) Hashtbl.t;
   move_waits : (int, move_wait) Hashtbl.t;
@@ -85,10 +97,9 @@ type t = {
   mutable extra_roots : Site_id.t -> Oid.t list;
   mutable gc_running : bool;
   mutable partition_of : int array;  (** site -> partition group *)
-  mutable part_parked : (Site_id.t * Site_id.t * Protocol.payload * int) list;
+  mutable part_parked : msg list;
   (* §4.7 deferral: queued collector messages per (src, dst) pair *)
-  defer_queues :
-    (Site_id.t * Site_id.t, (Protocol.payload * int) list ref) Hashtbl.t;
+  defer_queues : (Site_id.t * Site_id.t, msg list ref) Hashtbl.t;
   (* chaos fault channels: runtime overrides of the configured Ext
      lossiness/duplication, plus a multiplier on sampled latencies.
      [None]/[1.0] defer to the configuration — the extra randomness is
@@ -102,15 +113,9 @@ type t = {
   mutable flight : Tel.Flight.t option;
   mutable profile : Prof.t option;
   series : Tel.Series.t;
-  mutable msg_monitor :
-    (phase:[ `Send | `Deliver ] ->
-    src:Site_id.t ->
-    dst:Site_id.t ->
-    Protocol.payload ->
-    unit)
-    option;
-  mutable step_watchers : (unit -> unit) list;
-  mutable sanitizer : san_hooks option;
+  mutable next_capsule : int;
+  mutable next_timer : int;
+  mutable observers : (event -> unit) list;
 }
 
 exception Metrics_bucket_mismatch of string
@@ -183,10 +188,151 @@ let mk_record cfg ~rng ~sites ~shard_id ~shard_of ~id_stride ~id_residue =
     flight = None;
     profile = None;
     series = Tel.Series.create ();
-    msg_monitor = None;
-    step_watchers = [];
-    sanitizer = None;
+    next_capsule = 0;
+    next_timer = 0;
+    observers = [];
   }
+
+let now_s t = Sim_time.to_seconds t.now
+
+(* Work-unit attribution to the profiler's innermost open scope; a
+   single [match] when no profiler is attached, so the off path costs
+   nothing and — since the profiler draws no randomness and schedules
+   no events — the schedule is identical either way. *)
+let profile_work t u n =
+  match t.profile with None -> () | Some p -> Prof.work p u n
+
+(* --- the event fold ----------------------------------------------------
+
+   Every engine action is reported once, as an [event], to [note] on the
+   record it happened on. [note] writes the engine's own sinks —
+   counters, histograms, flight records, journal lines and profile work
+   — in the order the flight ring pins, then hands the event to the
+   record's observers in registration order. Shard records have no
+   observers: on a sharded engine only coordinator-context events
+   (steps, faults, barrier work, facade journal lines) reach them. *)
+
+let flight_msg t kind ~site ?payload m =
+  match t.flight with
+  | None -> ()
+  | Some f ->
+      Tel.Flight.record f ~site:(Site_id.to_int site) ~at:(now_s t) ~kind
+        ~a:(Site_id.to_int m.src) ~b:(Site_id.to_int m.dst)
+        ~tag:(Protocol.kind m.payload) ?payload ()
+
+let flight_fault t ~tag detail =
+  match t.flight with
+  | None -> ()
+  | Some f ->
+      Tel.Flight.record f ~site:(-1) ~at:(now_s t) ~kind:Tel.Flight.Fault ~tag
+        ~payload:detail ()
+
+(* The wire count of one payload, alone or inside a batch; [msg.total]
+   counts wire messages, so a §4.7 batch adds it once. *)
+let count_payload t m =
+  let kind = Protocol.kind m.payload in
+  let bytes = Protocol.approx_bytes m.payload in
+  Metrics.incr t.metrics ("msg." ^ kind);
+  Metrics.add t.metrics "msg.bytes" bytes;
+  Metrics.hist_observe t.metrics ("msg.size." ^ kind) (float_of_int bytes);
+  profile_work t "msgs_sent" 1;
+  profile_work t "bytes_sent" bytes
+
+let rec notify ev = function
+  | [] -> ()
+  | f :: fs ->
+      f ev;
+      notify ev fs
+
+let rec note t ev =
+  (match ev with
+  | Sent m -> flight_msg t Tel.Flight.Send ~site:m.src m
+  | Wired m ->
+      Metrics.incr t.metrics "msg.total";
+      count_payload t m
+  | Batched msgs ->
+      Metrics.incr t.metrics "msg.total";
+      Metrics.incr t.metrics "msg.batches";
+      List.iter (count_payload t) msgs
+  | Copied _ -> Metrics.incr t.metrics "msg.duplicated"
+  | Dropped { msg = m; reason } ->
+      Metrics.incr t.metrics ("msg.dropped." ^ reason);
+      flight_msg t Tel.Flight.Drop ~site:m.src ~payload:reason m
+  | Parked { msg = m; reason } -> (
+      (* A parked Move or Move_ack stalls the §6.1.2 insert barrier:
+         the sender keeps its pins until the ack lands, which can
+         starve mutators for the whole partition/outage. Journal the
+         cause so the watchdog's starvation verdicts can name it. *)
+      match m.payload with
+      | Protocol.Move { token; _ } ->
+          Metrics.incr t.metrics "barrier.move_stalled";
+          jlog t ~level:Journal.Warn ~cat:"barrier"
+            "move (token %d) parked by %s: insert barrier stalled" token reason
+      | Protocol.Move_ack { token } ->
+          Metrics.incr t.metrics "barrier.move_stalled";
+          jlog t ~level:Journal.Warn ~cat:"barrier"
+            "move-ack (token %d) parked by %s: sender pins held" token reason
+      | _ -> ())
+  | Delivered m -> (
+      flight_msg t Tel.Flight.Deliver ~site:m.dst m;
+      match t.profile with
+      | Some p ->
+          Prof.work p "deliveries" 1;
+          Prof.work p "bytes_delivered" (Protocol.approx_bytes m.payload)
+      | None -> ())
+  | Unstalled { site = s; waited } ->
+      let stall_ms = 1000. *. Sim_time.to_seconds waited in
+      Metrics.hist_observe t.metrics "barrier.move_stall_ms" stall_ms;
+      Metrics.hist_observe t.metrics
+        (Site.metric_label t.sites.(Site_id.to_int s) "barrier.move_stall_ms")
+        stall_ms
+  | Partitioned groups ->
+      let n = List.length groups in
+      flight_fault t ~tag:"partition" (Printf.sprintf "%d groups" n);
+      jlog t ~level:Journal.Warn ~cat:"fault" "partition into %d groups" n;
+      Metrics.incr t.metrics "fault.partition"
+  | Healed ->
+      flight_fault t ~tag:"heal" "";
+      jlog t ~level:Journal.Warn ~cat:"fault" "heal";
+      Metrics.incr t.metrics "fault.heal"
+  | Crashed id ->
+      flight_fault t ~tag:"crash" (string_of_int (Site_id.to_int id));
+      jlog t ~level:Journal.Warn ~cat:"fault" "crash %a" Site_id.pp id;
+      Metrics.incr t.metrics "fault.crash"
+  | Recovered { site; was_crashed } ->
+      flight_fault t ~tag:"recover" (string_of_int (Site_id.to_int site));
+      jlog t ~level:Journal.Warn ~cat:"fault" "recover %a" Site_id.pp site;
+      if was_crashed then Metrics.incr t.metrics "fault.recover"
+  | Logged e -> (
+      (match t.journal with Some j -> Journal.push j e | None -> ());
+      match t.flight with
+      | Some f ->
+          Tel.Flight.record f ~site:(-1)
+            ~at:(Sim_time.to_seconds e.Journal.at) ~kind:Tel.Flight.Journal
+            ~a:(Journal.level_rank e.Journal.level) ~tag:e.Journal.cat
+            ~payload:e.Journal.text ()
+      | None -> ())
+  | Timer_armed _ | Timer_fired _ | Stepped -> ());
+  notify ev t.observers
+
+(* A journal line exists only while a journal is attached: without
+   one, nothing is formatted and no [Logged] event is made. *)
+and jlog :
+      'a.
+      t ->
+      ?level:Journal.level ->
+      cat:string ->
+      ('a, Format.formatter, unit, unit) format4 ->
+      'a =
+ fun t ?(level = Journal.Info) ~cat fmt ->
+  match t.journal with
+  | Some _ ->
+      Format.kasprintf
+        (fun text -> note t (Logged { Journal.at = t.now; level; cat; text }))
+        fmt
+  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+
+let observe t f = t.observers <- t.observers @ [ f ]
 
 (* A ?buckets spec that disagrees with a histogram's existing bounds
    is a measurement bug: fail fast under the per-step sanitizer,
@@ -195,12 +341,7 @@ let wire_bucket_mismatch cfg t =
   Metrics.set_on_bucket_mismatch t.metrics (fun msg ->
       if cfg.Config.check_level = Config.Check_step then
         raise (Metrics_bucket_mismatch msg)
-      else
-        match t.journal with
-        | Some j ->
-            Journal.recordf j ~level:Journal.Warn ~at:t.now ~cat:"metrics"
-              "%s" msg
-        | None -> ())
+      else jlog t ~level:Journal.Warn ~cat:"metrics" "%s" msg)
 
 let create cfg =
   let sites =
@@ -243,116 +384,43 @@ let create cfg =
   List.iter (wire_bucket_mismatch cfg) (all_records t);
   t
 
-let set_msg_monitor t f =
-  if sharded t then
-    invalid_arg
-      "Engine.set_msg_monitor: not supported on a sharded engine (shards \
-       send concurrently; no single observation order exists)";
-  t.msg_monitor <- Some f
-
-let add_step_watcher t f = t.step_watchers <- t.step_watchers @ [ f ]
-
-let set_sanitizer t h =
-  if sharded t then
-    invalid_arg
-      "Engine.set_sanitizer: not supported on a sharded engine (capsules \
-       would be minted concurrently; run dgc-san at shards=1)";
-  t.sanitizer <- Some h
-let clear_sanitizer t = t.sanitizer <- None
-let sanitizing t = t.sanitizer <> None
-
-let san_send t ~src ~dst payload =
-  match t.sanitizer with
-  | Some h -> h.san_send ~src ~dst payload
-  | None -> -1
-
-let san_copy t capsule =
-  match t.sanitizer with Some h -> h.san_copy capsule | None -> ()
-
-let san_dropped t capsule ~reason =
-  match t.sanitizer with
-  | Some h -> h.san_dropped capsule ~reason
-  | None -> ()
-
-let san_deliver t ~src ~dst ~capsule payload =
-  match t.sanitizer with
-  | Some h -> h.san_deliver ~src ~dst ~capsule payload
-  | None -> ()
-
-let monitor_msg t ~phase ~src ~dst payload =
-  (match t.flight with
-  | Some f ->
-      let kind, site =
-        match phase with
-        | `Send -> (Tel.Flight.Send, src)
-        | `Deliver -> (Tel.Flight.Deliver, dst)
+(* Mirror tracer span edges into the flight recorder's rings. Wired
+   whenever both halves are attached (in either order). *)
+let wire_spans t =
+  match (t.flight, t.tracer) with
+  | Some f, Some tr ->
+      let span_edge kind (sp : Tel.Tracer.span) =
+        let b =
+          match kind with
+          | Tel.Flight.Span_start ->
+              Option.value ~default:(-1) sp.Tel.Tracer.parent
+          | _ -> if List.mem_assoc "aborted" sp.Tel.Tracer.attrs then 1 else 0
+        in
+        let at =
+          match kind with
+          | Tel.Flight.Span_start -> sp.Tel.Tracer.start
+          | _ -> Option.value ~default:sp.Tel.Tracer.start sp.Tel.Tracer.finish
+        in
+        Tel.Flight.record f ~site:sp.Tel.Tracer.site ~at ~kind
+          ~a:sp.Tel.Tracer.id ~b ~tag:sp.Tel.Tracer.name
+          ~payload:sp.Tel.Tracer.trace ()
       in
-      Tel.Flight.record f ~site:(Site_id.to_int site)
-        ~at:(Sim_time.to_seconds t.now) ~kind ~a:(Site_id.to_int src)
-        ~b:(Site_id.to_int dst) ~tag:(Protocol.kind payload) ()
-  | None -> ());
-  match t.msg_monitor with
-  | Some f -> f ~phase ~src ~dst payload
-  | None -> ()
-
-let now_s t = Sim_time.to_seconds t.now
-
-(* Mirror journal entries and span edges into the flight recorder's
-   rings. Wired whenever both halves are attached (in either order). *)
-let wire_flight t =
-  match t.flight with
-  | None -> ()
-  | Some f ->
-      (match t.journal with
-      | Some j ->
-          Journal.set_on_record j (fun e ->
-              Tel.Flight.record f ~site:(-1)
-                ~at:(Sim_time.to_seconds e.Journal.at) ~kind:Tel.Flight.Journal
-                ~a:(Journal.level_rank e.Journal.level) ~tag:e.Journal.cat
-                ~payload:e.Journal.text ())
-      | None -> ());
-      (match t.tracer with
-      | Some tr ->
-          let span_edge kind (sp : Tel.Tracer.span) =
-            let b =
-              match kind with
-              | Tel.Flight.Span_start ->
-                  Option.value ~default:(-1) sp.Tel.Tracer.parent
-              | _ ->
-                  if List.mem_assoc "aborted" sp.Tel.Tracer.attrs then 1 else 0
-            in
-            let at =
-              match kind with
-              | Tel.Flight.Span_start -> sp.Tel.Tracer.start
-              | _ -> Option.value ~default:sp.Tel.Tracer.start sp.Tel.Tracer.finish
-            in
-            Tel.Flight.record f ~site:sp.Tel.Tracer.site ~at ~kind
-              ~a:sp.Tel.Tracer.id ~b ~tag:sp.Tel.Tracer.name
-              ~payload:sp.Tel.Tracer.trace ()
-          in
-          Tel.Tracer.set_span_hooks tr
-            ~on_start:(span_edge Tel.Flight.Span_start)
-            ~on_finish:(span_edge Tel.Flight.Span_end)
-      | None -> ())
+      Tel.Tracer.set_span_hooks tr
+        ~on_start:(span_edge Tel.Flight.Span_start)
+        ~on_finish:(span_edge Tel.Flight.Span_end)
+  | _ -> ()
 
 let attach_journal t j =
   t.journal <- Some j;
-  wire_flight t;
   (* Shards journal into private rings of the same capacity; the
      [merged_journal] accessor interleaves them by sim time. *)
   if sharded t then
     Array.iter
       (fun sh ->
-        sh.journal <- Some (Journal.create ~capacity:(Journal.capacity j) ());
-        wire_flight sh)
+        sh.journal <- Some (Journal.create ~capacity:(Journal.capacity j) ()))
       t.shards
 
 let journal t = (ctx t).journal
-
-let jlog t ?level ~cat fmt =
-  match t.journal with
-  | Some j -> Journal.recordf j ?level ~at:t.now ~cat fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
 let attach_tracer t tr =
   (* Span state is a single mutable web threaded through every frame
@@ -363,14 +431,14 @@ let attach_tracer t tr =
       "tracer attach ignored: spans are not supported on a sharded engine"
   else begin
     t.tracer <- Some tr;
-    wire_flight t
+    wire_spans t
   end
 
 let tracer t = t.tracer
 
 let attach_flight t f =
   t.flight <- Some f;
-  wire_flight t;
+  wire_spans t;
   (* Per-shard rings of the same per-site capacity; [dump_flight]
      re-records a merged, sim-time-sorted dump. *)
   if sharded t then
@@ -380,8 +448,7 @@ let attach_flight t f =
           Some
             (Tel.Flight.create
                ~capacity:(Tel.Flight.capacity f)
-               ~n_sites:(Tel.Flight.n_sites f) ());
-        wire_flight sh)
+               ~n_sites:(Tel.Flight.n_sites f) ()))
       t.shards
 
 let flight t = (ctx t).flight
@@ -396,13 +463,6 @@ let attach_profile t p =
 
 let profile t = t.profile
 
-(* Work-unit attribution to the profiler's innermost open scope; a
-   single [match] when no profiler is attached, so the off path costs
-   nothing and — since the profiler draws no randomness and schedules
-   no events — the schedule is identical either way. *)
-let profile_work t u n =
-  match t.profile with None -> () | Some p -> Prof.work p u n
-
 let series t = (ctx t).series
 
 let series_add t name n =
@@ -416,28 +476,6 @@ let series_incr t name =
 let series_set t name v =
   let t = ctx t in
   Tel.Series.set t.series name ~at:(now_s t) v
-
-let flight_drop t ~src ~dst ~reason payload =
-  match t.flight with
-  | None -> ()
-  | Some f ->
-      Tel.Flight.record f ~site:(Site_id.to_int src) ~at:(now_s t)
-        ~kind:Tel.Flight.Drop ~a:(Site_id.to_int src) ~b:(Site_id.to_int dst)
-        ~tag:(Protocol.kind payload) ~payload:reason ()
-
-(* One copy of a collector message destroyed without delivery: its
-   [msg.dropped.<reason>] count, flight record and sanitizer fate. *)
-let drop t ~src ~dst ~capsule ~reason payload =
-  Metrics.incr t.metrics ("msg.dropped." ^ reason);
-  flight_drop t ~src ~dst ~reason payload;
-  san_dropped t capsule ~reason
-
-let flight_fault t ~tag detail =
-  match t.flight with
-  | None -> ()
-  | Some f ->
-      Tel.Flight.record f ~site:(-1) ~at:(now_s t) ~kind:Tel.Flight.Fault ~tag
-        ~payload:detail ()
 
 (* Chaos knobs and the latency factor live on the facade (set from
    fault events, which run between windows), so every shard sees one
@@ -538,23 +576,25 @@ let dump_flight t ~reason =
           (Tel.Flight.to_json (Tel.Flight.dump merged ~reason ~at:(now_s t)))
       end
 
-(* [?san] labels the scheduled closure as a protocol timer for the
-   sanitizer: the thunk (forced only when a sanitizer is installed)
-   names the owning site and a stable key, so the lost-trace detector
-   can see that a continuation path is still armed. Plain closures
-   (mutator steps, trace schedule ticks) stay unlabeled. *)
-let schedule t ?san ~delay f =
+(* [?label] marks the scheduled closure as a protocol timer: it is
+   numbered from a plain counter and reported armed and fired, with the
+   thunk naming the owning site and a stable key. The thunk is forced
+   only by an observer that asks (the sanitizer's lost-trace detector
+   uses it to see that a continuation path is still armed). Plain
+   closures (mutator steps, trace schedule ticks) stay unlabelled. *)
+let schedule t ?label ~delay f =
   let t = ctx t in
   let at = Sim_time.add t.now delay in
   let f =
-    match (t.sanitizer, san) with
-    | Some h, Some info ->
-        let site, key = info () in
-        let id = h.san_timer_armed ~site ~key ~at in
+    match label with
+    | None -> f
+    | Some label ->
+        let id = t.next_timer in
+        t.next_timer <- id + 1;
+        note t (Timer_armed { id; at; label });
         fun () ->
-          h.san_timer_fired id;
+          note t (Timer_fired id);
           f ()
-    | _ -> f
   in
   Event_queue.push t.queue ~at f
 
@@ -578,9 +618,7 @@ let in_flight_refs t =
   let of_record t =
     let flying = Hashtbl.fold (fun _ refs acc -> refs @ acc) t.in_flight [] in
     let part =
-      List.concat_map
-        (fun (_, _, p, _) -> Protocol.refs_carried p)
-        t.part_parked
+      List.concat_map (fun m -> Protocol.refs_carried m.payload) t.part_parked
     in
     let outboxed =
       List.concat_map (fun om -> om.om_refs) !(t.outbox)
@@ -588,7 +626,7 @@ let in_flight_refs t =
     Hashtbl.fold
       (fun _ msgs acc ->
         List.fold_left
-          (fun acc (_, p, _) -> Protocol.refs_carried p @ acc)
+          (fun acc m -> Protocol.refs_carried m.payload @ acc)
           acc !msgs)
       t.parked
       (outboxed @ part @ flying)
@@ -658,15 +696,9 @@ let rec base_handlers =
                 w.remaining <- w.remaining - 1;
                 if w.remaining = 0 then begin
                   Hashtbl.remove t.move_waits token;
-                  let stall_ms =
-                    1000.
-                    *. Sim_time.to_seconds (Sim_time.sub t.now w.wait_since)
-                  in
-                  Metrics.hist_observe t.metrics "barrier.move_stall_ms"
-                    stall_ms;
-                  Metrics.hist_observe t.metrics
-                    (Site.metric_label (site t dst) "barrier.move_stall_ms")
-                    stall_ms;
+                  note t
+                    (Unstalled
+                       { site = dst; waited = Sim_time.sub t.now w.wait_since });
                   send t ~src:dst ~dst:w.reply_to (Protocol.Move_ack { token })
                 end));
     h_update =
@@ -692,105 +724,80 @@ let rec base_handlers =
       (fun (t, dst) ~src e -> (site t dst).Site.hooks.h_ext ~src e);
   }
 
-(* [san_deliver] runs before dispatch: the receiver's clock must join
-   the capsule first so any message the handler sends in response is
-   causally after this delivery. *)
-and deliver t ~src ~dst ~capsule payload =
-  monitor_msg t ~phase:`Deliver ~src ~dst payload;
-  san_deliver t ~src ~dst ~capsule payload;
-  (* Per-handler dispatch scope: everything a handler does — including
-     the sends and frames it causes — lands under deliver;<kind>. *)
+(* The delivery observers run before dispatch: the sanitizer's receiver
+   clock must join the capsule first so any message the handler sends
+   in response is causally after this delivery. With a profiler, the
+   per-handler dispatch scope holds everything a handler does —
+   including the sends and frames it causes — under deliver;<kind>. *)
+and deliver t m =
   match t.profile with
-  | None -> Protocol.dispatch base_handlers (t, dst) ~src payload
+  | None ->
+      note t (Delivered m);
+      Protocol.dispatch base_handlers (t, m.dst) ~src:m.src m.payload
   | Some p ->
       Prof.with_scope p "deliver" (fun () ->
-          Prof.with_scope p (Protocol.kind payload) (fun () ->
-              Prof.work p "deliveries" 1;
-              Prof.work p "bytes_delivered" (Protocol.approx_bytes payload);
-              Protocol.dispatch base_handlers (t, dst) ~src payload))
+          Prof.with_scope p (Protocol.kind m.payload) (fun () ->
+              note t (Delivered m);
+              Protocol.dispatch base_handlers (t, m.dst) ~src:m.src m.payload))
 
 (* --- sending -------------------------------------------------------- *)
 
-(* A parked Move or Move_ack stalls the §6.1.2 insert barrier: the
-   sender keeps its pins until the ack lands, which can starve mutators
-   for the whole partition/outage. Journal the cause so the watchdog's
-   starvation verdicts can name it, and count it for the campaigns. *)
-and note_move_stalled t ~why payload =
-  match payload with
-  | Protocol.Move { token; _ } ->
-      Metrics.incr t.metrics "barrier.move_stalled";
-      jlog t ~level:Journal.Warn ~cat:"barrier"
-        "move (token %d) parked by %s: insert barrier stalled" token why
-  | Protocol.Move_ack { token } ->
-      Metrics.incr t.metrics "barrier.move_stalled";
-      jlog t ~level:Journal.Warn ~cat:"barrier"
-        "move-ack (token %d) parked by %s: sender pins held" token why
-  | _ -> ()
+(* One copy of a collector message destroyed without delivery. *)
+and drop t m ~reason = note t (Dropped { msg = m; reason })
 
 (* Base messages are never lost: one that cannot reach its destination
    waits for the heal, or for the destination's recovery. *)
-and park_partitioned t ~src ~dst ~capsule payload =
-  note_move_stalled t ~why:"partition" payload;
-  t.part_parked <- (src, dst, payload, capsule) :: t.part_parked
+and park_partitioned t m =
+  note t (Parked { msg = m; reason = "partition" });
+  t.part_parked <- m :: t.part_parked
 
-and park_crashed t ~src ~dst ~capsule payload =
-  note_move_stalled t ~why:"crash" payload;
+and park_crashed t m =
+  note t (Parked { msg = m; reason = "crash" });
   let q =
-    match Hashtbl.find_opt t.parked dst with
+    match Hashtbl.find_opt t.parked m.dst with
     | Some q -> q
     | None ->
         let q = ref [] in
-        Hashtbl.add t.parked dst q;
+        Hashtbl.add t.parked m.dst q;
         q
   in
-  q := (src, payload, capsule) :: !q
+  q := m :: !q
 
 (* Where every copy in flight lands — sent locally, across shards, in a
    deferred batch, or redelivered after parking: if the path was
    partitioned or the destination crashed meanwhile, a collector
    message is dropped and a base message parked; otherwise it is
    delivered. *)
-and arrive t ~src ~dst ~capsule payload =
-  let is_ext = Protocol.is_ext payload in
-  if not (reachable t src dst) then
-    if is_ext then drop t ~src ~dst ~capsule ~reason:"partition" payload
-    else park_partitioned t ~src ~dst ~capsule payload
-  else if (site t dst).Site.crashed then
-    if is_ext then drop t ~src ~dst ~capsule ~reason:"crashed" payload
-    else park_crashed t ~src ~dst ~capsule payload
-  else deliver t ~src ~dst ~capsule payload
+and arrive t m =
+  let is_ext = Protocol.is_ext m.payload in
+  if not (reachable t m.src m.dst) then
+    if is_ext then drop t m ~reason:"partition" else park_partitioned t m
+  else if (site t m.dst).Site.crashed then
+    if is_ext then drop t m ~reason:"crashed" else park_crashed t m
+  else deliver t m
 
-and send_now t ~src ~dst ~capsule payload =
-  let kind = Protocol.kind payload in
-  let bytes = Protocol.approx_bytes payload in
-  Metrics.incr t.metrics ("msg." ^ kind);
-  Metrics.incr t.metrics "msg.total";
-  Metrics.add t.metrics "msg.bytes" bytes;
-  profile_work t "msgs_sent" 1;
-  profile_work t "bytes_sent" bytes;
-  Metrics.hist_observe t.metrics ("msg.size." ^ kind) (float_of_int bytes);
-  let dst_site = site t dst in
-  let is_ext = Protocol.is_ext payload in
-  if is_ext && dst_site.Site.crashed then
-    drop t ~src ~dst ~capsule ~reason:"crashed" payload
-  else if is_ext && not (reachable t src dst) then
-    drop t ~src ~dst ~capsule ~reason:"partition" payload
+and send_now t m =
+  note t (Wired m);
+  let dst_site = site t m.dst in
+  let is_ext = Protocol.is_ext m.payload in
+  if is_ext && dst_site.Site.crashed then drop t m ~reason:"crashed"
+  else if is_ext && not (reachable t m.src m.dst) then
+    drop t m ~reason:"partition"
   else if is_ext && Rng.chance t.rng (ext_drop_p t) then
-    drop t ~src ~dst ~capsule ~reason:"lossy" payload
-  else if not (reachable t src dst) then
-    park_partitioned t ~src ~dst ~capsule payload
-  else if dst_site.Site.crashed then park_crashed t ~src ~dst ~capsule payload
+    drop t m ~reason:"lossy"
+  else if not (reachable t m.src m.dst) then park_partitioned t m
+  else if dst_site.Site.crashed then park_crashed t m
   else begin
     let fly_local () =
       let id = t.next_msg_id in
       t.next_msg_id <- id + t.id_stride;
-      (match Protocol.refs_carried payload with
+      (match Protocol.refs_carried m.payload with
       | [] -> ()
       | refs -> Hashtbl.replace t.in_flight id refs);
       let delay = sample_latency t in
       schedule t ~delay (fun () ->
           Hashtbl.remove t.in_flight id;
-          arrive t ~src ~dst ~capsule payload)
+          arrive t m)
     in
     (* A shard sending to a site another shard owns must not touch the
        peer's queue or tables mid-window: the flight is buffered in
@@ -800,29 +807,29 @@ and send_now t ~src ~dst ~capsule payload =
        (arrival, sender shard, sender seq) order. The landing closure
        then runs on the *destination* shard and re-checks reachability
        and crash state there, exactly like a local flight would. *)
-    let fly_cross m dst_sh =
+    let fly_cross facade dst_sh =
       let delay = sample_latency t in
       let at = Sim_time.add t.now delay in
       let seq = t.out_seq in
       t.out_seq <- seq + 1;
-      let dsh = m.shards.(dst_sh) in
-      let run () = arrive dsh ~src ~dst ~capsule payload in
+      let dsh = facade.shards.(dst_sh) in
+      let run () = arrive dsh m in
       t.outbox :=
         {
           om_at = at;
           om_src_shard = t.shard_id;
           om_seq = seq;
           om_dst_shard = dst_sh;
-          om_refs = Protocol.refs_carried payload;
+          om_refs = Protocol.refs_carried m.payload;
           om_run = run;
         }
         :: !(t.outbox)
     in
     let fly =
       match t.master with
-      | Some m ->
-          let dst_sh = m.shard_of.(Site_id.to_int dst) in
-          if dst_sh <> t.shard_id then fun () -> fly_cross m dst_sh
+      | Some facade ->
+          let dst_sh = facade.shard_of.(Site_id.to_int m.dst) in
+          if dst_sh <> t.shard_id then fun () -> fly_cross facade dst_sh
           else fly_local
       | None -> fly_local
     in
@@ -832,59 +839,39 @@ and send_now t ~src ~dst ~capsule payload =
        the base protocol stays exactly-once. The [ext_dup_p t > 0.]
        guard keeps the rng stream untouched when the channel is cold. *)
     if is_ext && ext_dup_p t > 0. && Rng.chance t.rng (ext_dup_p t) then begin
-      Metrics.incr t.metrics "msg.duplicated";
-      san_copy t capsule;
+      note t (Copied m);
       fly ()
     end
   end
 
 (* One wire message carrying a whole batch of deferred collector
-   messages (§4.7: "deferred and piggybacked"). Per-kind counters still
-   see every payload; [msg.total] counts wire messages. *)
-and flush_batch t ~src ~dst payloads =
-  Metrics.incr t.metrics "msg.total";
-  Metrics.incr t.metrics "msg.batches";
-  let batch_bytes =
-    Dgc_prelude.Util.list_sum (fun (p, _) -> Protocol.approx_bytes p) payloads
-  in
-  Metrics.add t.metrics "msg.bytes" batch_bytes;
-  profile_work t "msgs_sent" (List.length payloads);
-  profile_work t "bytes_sent" batch_bytes;
-  List.iter
-    (fun (p, _) ->
-      Metrics.incr t.metrics ("msg." ^ Protocol.kind p);
-      Metrics.hist_observe t.metrics
-        ("msg.size." ^ Protocol.kind p)
-        (float_of_int (Protocol.approx_bytes p)))
-    payloads;
-  let drop_all reason =
-    List.iter (fun (p, capsule) -> drop t ~src ~dst ~capsule ~reason p) payloads
-  in
+   messages (§4.7: "deferred and piggybacked"). *)
+and flush_batch t ~src ~dst msgs =
+  note t (Batched msgs);
+  let drop_all reason = List.iter (fun m -> drop t m ~reason) msgs in
   if (site t dst).Site.crashed then drop_all "crashed"
   else if not (reachable t src dst) then drop_all "partition"
   else if Rng.chance t.rng (ext_drop_p t) then drop_all "lossy"
   else begin
     let fly () =
       let delay = sample_latency t in
-      schedule t ~delay (fun () ->
-          List.iter
-            (fun (p, capsule) -> arrive t ~src ~dst ~capsule p)
-            payloads)
+      schedule t ~delay (fun () -> List.iter (arrive t) msgs)
     in
     fly ();
     (* Whole-batch duplication: deferred collector batches are one wire
        message, so the fault channel duplicates the wire message. *)
     if ext_dup_p t > 0. && Rng.chance t.rng (ext_dup_p t) then begin
-      Metrics.add t.metrics "msg.duplicated" (List.length payloads);
-      List.iter (fun (_, c) -> san_copy t c) payloads;
+      List.iter (fun m -> note t (Copied m)) msgs;
       fly ()
     end
   end
 
 and send t ~src ~dst payload =
   let t = ctx t in
-  monitor_msg t ~phase:`Send ~src ~dst payload;
-  let capsule = san_send t ~src ~dst payload in
+  let capsule = t.next_capsule in
+  t.next_capsule <- capsule + 1;
+  let m = { src; dst; payload; capsule } in
+  note t (Sent m);
   let defer = t.cfg.Config.defer_interval in
   (* A shard's deferral queue can only batch same-shard destinations:
      a batched flush delivers directly, which must stay shard-local.
@@ -893,7 +880,7 @@ and send t ~src ~dst payload =
      boundary would need its own integration protocol). *)
   let cross_shard =
     match t.master with
-    | Some m -> m.shard_of.(Site_id.to_int dst) <> t.shard_id
+    | Some facade -> facade.shard_of.(Site_id.to_int dst) <> t.shard_id
     | None -> false
   in
   if
@@ -903,9 +890,9 @@ and send t ~src ~dst payload =
   then begin
     let key = (src, dst) in
     match Hashtbl.find_opt t.defer_queues key with
-    | Some q -> q := (payload, capsule) :: !q
+    | Some q -> q := m :: !q
     | None ->
-        let q = ref [ (payload, capsule) ] in
+        let q = ref [ m ] in
         Hashtbl.add t.defer_queues key q;
         schedule t ~delay:defer (fun () ->
             match Hashtbl.find_opt t.defer_queues key with
@@ -914,7 +901,7 @@ and send t ~src ~dst payload =
                 Hashtbl.remove t.defer_queues key;
                 flush_batch t ~src ~dst (List.rev !q))
   end
-  else send_now t ~src ~dst ~capsule payload
+  else send_now t m
 
 (* --- mutator moves --------------------------------------------------- *)
 
@@ -933,29 +920,25 @@ let move_agent t ~agent ~src ~dst ~refs =
 
 let partition t groups =
   let t = root t in
-  flight_fault t ~tag:"partition" (Printf.sprintf "%d groups" (List.length groups));
-  jlog t ~level:Journal.Warn ~cat:"fault" "partition into %d groups" (List.length groups);
   let parts = Array.make (Array.length t.sites) (List.length groups) in
   List.iteri
     (fun g members ->
       List.iter (fun s -> parts.(Site_id.to_int s) <- g) members)
     groups;
   t.partition_of <- parts;
-  Metrics.incr t.metrics "fault.partition"
+  note t (Partitioned groups)
 
 (* Deliver a previously parked base message; if the destination is
    unavailable again when it lands, re-park it rather than lose it —
    the base protocol must be reliable. *)
-let redeliver_parked t ~src ~dst ~capsule payload =
+let redeliver_parked t m =
   let delay = sample_latency t in
-  schedule t ~delay (fun () -> arrive t ~src ~dst ~capsule payload)
+  schedule t ~delay (fun () -> arrive t m)
 
 let heal t =
   let t = root t in
-  flight_fault t ~tag:"heal" "";
-  jlog t ~level:Journal.Warn ~cat:"fault" "heal";
   t.partition_of <- Array.make (Array.length t.sites) 0;
-  Metrics.incr t.metrics "fault.heal";
+  note t Healed;
   (* Sharded: every record (facade first, shards in order) may hold
      partition-parked messages; redeliveries all go through the
      coordinator's queue and rng, so the replay order — and therefore
@@ -964,27 +947,21 @@ let heal t =
     (fun r ->
       let parked = List.rev r.part_parked in
       r.part_parked <- [];
-      List.iter
-        (fun (src, dst, payload, capsule) ->
-          redeliver_parked t ~src ~dst ~capsule payload)
-        parked)
+      List.iter (redeliver_parked t) parked)
     (all_records t)
 
 let crash t id =
   let t = root t in
-  flight_fault t ~tag:"crash" (string_of_int (Site_id.to_int id));
-  jlog t ~level:Journal.Warn ~cat:"fault" "crash %a" Site_id.pp id;
   (site t id).Site.crashed <- true;
-  Metrics.incr t.metrics "fault.crash"
+  note t (Crashed id)
 
 let recover t id =
   let t = root t in
-  flight_fault t ~tag:"recover" (string_of_int (Site_id.to_int id));
-  jlog t ~level:Journal.Warn ~cat:"fault" "recover %a" Site_id.pp id;
   let s = site t id in
-  if s.Site.crashed then begin
-    s.Site.crashed <- false;
-    Metrics.incr t.metrics "fault.recover";
+  let was_crashed = s.Site.crashed in
+  s.Site.crashed <- false;
+  note t (Recovered { site = id; was_crashed });
+  if was_crashed then
     List.iter
       (fun r ->
         match Hashtbl.find_opt r.parked id with
@@ -992,12 +969,8 @@ let recover t id =
         | Some q ->
             let msgs = List.rev !q in
             Hashtbl.remove r.parked id;
-            List.iter
-              (fun (src, payload, capsule) ->
-                redeliver_parked t ~src ~dst:id ~capsule payload)
-              msgs)
+            List.iter (redeliver_parked t) msgs)
       (all_records t)
-  end
 
 (* --- GC schedule ------------------------------------------------------ *)
 
@@ -1065,8 +1038,6 @@ let stop_gc_schedule t = t.gc_running <- false
 
 (* --- run loop --------------------------------------------------------- *)
 
-let run_step_hooks t = List.iter (fun w -> w ()) t.step_watchers
-
 let step_nth t n =
   if sharded t then
     invalid_arg
@@ -1080,7 +1051,7 @@ let step_nth t n =
       if Sim_time.compare at t.now > 0 then t.now <- at;
       profile_work t "events" 1;
       f ();
-      run_step_hooks t;
+      note t Stepped;
       true
 
 let step t = step_nth t 0
@@ -1309,7 +1280,7 @@ let sharded_run_until t limit =
           | Some (at, f) ->
               if Sim_time.compare at t.now > 0 then t.now <- at;
               f ();
-              run_step_hooks t;
+              note t Stepped;
               loop ()
           | None -> ())
       | _ -> ()
@@ -1331,7 +1302,7 @@ let sharded_run_until t limit =
           (* [exec_window] advances [t.now] to the window end itself,
              before its barrier. *)
           exec_window t ~closed ~bound ~limit;
-          run_step_hooks t;
+          note t Stepped;
           loop ()
       | _ -> ()
   in

@@ -1,8 +1,8 @@
 (** dgc-san: the dynamic happens-before sanitizer.
 
     Installed on an engine it threads a {!Vclock} per site through
-    every message (via the engine's capsule hooks) and every labelled
-    §4.6 timer, and runs two detectors over the causal order:
+    every message (keyed by the engine's per-send capsule) and every
+    labelled §4.6 timer, and runs two detectors over the causal order:
 
     - a {b message-race detector}: a reference transfer (a [Move] or
       [Insert] carrying an oid) and a back-trace read of the same oid
@@ -21,9 +21,10 @@
       callees).
 
     Everything lands in [san.*] counters, Warn journal entries
-    (cat ["san"]) and the ["dgc.san/1"] report ({!to_json}). With no
-    sanitizer installed the engine makes no hook calls at all; runs
-    are event-identical to builds without it. *)
+    (cat ["san"]) and the ["dgc.san/1"] report ({!to_json}). The
+    sanitizer is one {!Dgc_rts.Engine.observe} callback: it draws no
+    randomness and schedules nothing, so runs are event-identical with
+    it installed or not. *)
 
 open Dgc_prelude
 open Dgc_simcore
@@ -51,16 +52,14 @@ type leak = {
 type t
 
 val install : Engine.t -> t
-(** Arm the sanitizer: sets the engine's capsule hooks and registers a
-    step watcher that resolves transfer-barrier protection after each
-    dispatch. One sanitizer per engine. *)
+(** Arm the sanitizer: registers its engine observer, which also
+    resolves transfer-barrier protection after each executed event.
+    One sanitizer per engine. Raises [Invalid_argument] on a sharded
+    engine. *)
 
 val set_shared : t -> Back_trace.shared -> unit
 (** Give the detectors the collector's frame tables; without it the
     leak detector and the report-reorder counter stay silent. *)
-
-val uninstall : t -> unit
-(** Clear the engine hooks; the step watcher becomes a no-op. *)
 
 val races : t -> race list
 (** Every race found so far, oldest first (benign and harmful). *)
