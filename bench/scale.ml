@@ -18,7 +18,9 @@
 
    - Ring bench: a 4-site sim with rooted filler chains per site plus
      unrooted cross-site cycle rings; rounds are timed until the rings
-     are collected by back tracing.
+     are collected by back tracing. At t10k the minor words of one
+     ring are counted per arm (flight recorder on and off, profiler,
+     sanitizer), each after a warm-up ring of the same arm.
 
    Everything is seeded and the engine deterministic, so every counter
    in the emitted artifact (visit counts, outset-store stats, minor
@@ -550,6 +552,27 @@ let () =
   let pf_ratio = if Float.is_finite !pf_ratio then !pf_ratio else nan in
   say "  profile ring wall: off=%.1fms on=%.1fms ratio=%.2fx" pf_off pf_on
     pf_ratio;
+  (* Exact allocation of each ring arm: the minor words of one t10k
+     ring_bench call, after a warm-up call of the same arm. Every arm
+     replays the same schedule, so an arm's excess over [noflight] is
+     its sinks' cost in words, gated exactly like any other counter. *)
+  say "tier t10k: minor words per ring arm";
+  let ring_words arm run =
+    ignore (run ());
+    let w0 = Gc.minor_words () in
+    ignore (run ());
+    let w = int_of_float (Gc.minor_words () -. w0) in
+    Metrics.add m ("scale.t10k.words_ring_" ^ arm) w;
+    say "  %-8s %d words" arm w
+  in
+  let ring ?sanitize ?flight ?profile () =
+    ring_bench ?sanitize ?flight ?profile ~record:false m ~tier:"t10k"
+      ~n:10_000
+  in
+  ring_words "flight" (fun () -> ring ());
+  ring_words "noflight" (fun () -> ring ~flight:false ());
+  ring_words "profile" (fun () -> ring ~profile:true ());
+  ring_words "san" (fun () -> ring ~sanitize:true ());
   let art =
     Dgc_telemetry.Run_artifact.make ~name:"scale-bench"
       ~sim_seconds:!sim_secs

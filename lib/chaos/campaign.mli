@@ -78,14 +78,11 @@ val base_cfg : case -> Dgc_rts.Config.t
     [retry_limit = 2] (the hardened delivery defaults), oracle checks
     on. [run_case]'s [tweak] post-processes it. *)
 
-type probe = {
-  pb_eng : Dgc_rts.Engine.t;
-  pb_journal : Dgc_simcore.Journal.t;
-  pb_inject : Inject.t;
-}
-(** What a {!run_case} probe sees: the live engine, the campaign's
-    journal and the armed injector — enough to attach coverage taps
-    (conformance observer, journal tap, {!Inject.active_mask} polls). *)
+type probe = { pb_eng : Dgc_rts.Engine.t; pb_inject : Inject.t }
+(** What a {!run_case} probe sees: the live engine, with the campaign's
+    journal attached, and the armed injector — enough to attach
+    coverage taps ({!Dgc_rts.Engine.observe}, {!Inject.active_mask}
+    polls). *)
 
 val run_case :
   ?tweak:(Dgc_rts.Config.t -> Dgc_rts.Config.t) ->

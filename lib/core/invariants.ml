@@ -218,9 +218,12 @@ let true_distances eng =
     end
   in
   each_site eng (fun s ->
+      List.iter (fun r -> relax r 0) (Heap.persistent_roots s.Site.heap);
+      (* An agent variable holding a remote reference puts its target one
+         inter-site hop away, as the local trace's distance-1 outref does. *)
       List.iter
-        (fun r -> relax r 0)
-        (Heap.persistent_roots s.Site.heap @ Engine.app_roots eng s.Site.id));
+        (fun r -> relax r (if Site_id.equal (Oid.site r) s.Site.id then 0 else 1))
+        (Engine.app_roots eng s.Site.id));
   let rec drain () =
     match pop () with
     | None -> ()

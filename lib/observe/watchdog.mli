@@ -1,8 +1,8 @@
 (** Liveness/progress watchdog.
 
     Attached to a collector, the watchdog re-checks progress every
-    [check_interval] of simulated time (driven by an engine step
-    watcher) and raises an alert — a Warn journal entry in category
+    [check_interval] of simulated time (driven by the engine's
+    [Stepped] events) and raises an alert — a Warn journal entry in category
     ["watchdog"] plus a [watchdog.*] counter — the first time it sees:
 
     - {b stuck_frame}: an activation frame still open after

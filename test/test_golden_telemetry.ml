@@ -21,7 +21,9 @@
    Every run is made twice, with and without a tracer attached. The
    tracer only observes: each digest that does not involve spans must
    be the same either way. The flight dump is compared with its span
-   edges filtered out.
+   edges filtered out. The traced runs are made once more with a
+   no-op [Engine.observe] callback attached: observers only observe,
+   so every digest must come out the same.
 
    If a deliberate change shifts these, regenerate with
 
@@ -220,16 +222,17 @@ let digests sim journal tracer =
       plain
       @ [ ("spans", s); ("flight", digest (Json.to_string flight_doc)) ]
 
-let attach eng ~traced =
+let attach eng ~traced ~observed =
   let journal = Journal.create ~capacity:journal_capacity () in
   Engine.attach_journal eng journal;
+  if observed then Engine.observe eng ignore;
   let tracer = if traced then Some (Tracer.create ()) else None in
   Option.iter (Engine.attach_tracer eng) tracer;
   (journal, tracer)
 
-let run_fig build ~traced =
+let run_fig build ~traced ~observed =
   let sim = build cfg_fig in
-  let journal, tracer = attach sim.Sim.eng ~traced in
+  let journal, tracer = attach sim.Sim.eng ~traced ~observed in
   Sim.start sim;
   ignore (Sim.collect_all sim ~max_rounds:30 ());
   Sim.run_rounds sim 4;
@@ -237,7 +240,7 @@ let run_fig build ~traced =
 
 (* The campaign driver's run of a plan, minus its verdicts, with the
    profiler on and the tracer optional. *)
-let run_plan (case, tweak) ~traced =
+let run_plan (case, tweak) ~traced ~observed =
   let cfg =
     {
       (tweak (Campaign.base_cfg case)) with
@@ -248,7 +251,7 @@ let run_plan (case, tweak) ~traced =
   let wrng = Dgc_prelude.Rng.create ~seed:((case.Campaign.cs_seed * 7) + 1) in
   let spec = Workloads.build ~name:case.Campaign.cs_workload ~cfg ~rng:wrng in
   let sim = spec.Workloads.sim in
-  let journal, tracer = attach sim.Sim.eng ~traced in
+  let journal, tracer = attach sim.Sim.eng ~traced ~observed in
   if not spec.Workloads.settled then Scenario.settle sim ~rounds:5;
   Sim.start sim;
   let inj = Inject.arm sim.Sim.eng case.Campaign.cs_plan in
@@ -259,30 +262,40 @@ let run_plan (case, tweak) ~traced =
   ignore (Sim.collect_all sim ~max_rounds:80 ());
   digests sim journal tracer
 
-let chaos_artifact (case, tweak) =
-  digest (Json.to_string (Campaign.artifact (Campaign.run_case ~tweak case)))
+let chaos_artifact (case, tweak) ~observed =
+  let probe pb = if observed then Engine.observe pb.Campaign.pb_eng ignore in
+  digest
+    (Json.to_string (Campaign.artifact (Campaign.run_case ~tweak ~probe case)))
 
 (* (run, sink) -> digest, traced runs only; the untraced runs are
    checked against these rather than pinned separately. *)
-let compute_traced () =
+let compute_traced ?(observed = false) () =
   let fig_rows =
     List.concat_map
       (fun (fig, build) ->
-        List.map (fun (k, d) -> ((fig, k), d)) (run_fig build ~traced:true))
+        List.map
+          (fun (k, d) -> ((fig, k), d))
+          (run_fig build ~traced:true ~observed))
       figs
   in
   let plan_rows =
     List.concat_map
       (fun (name, p) ->
-        ((name, "chaos"), chaos_artifact p)
-        :: List.map (fun (k, d) -> ((name, k), d)) (run_plan p ~traced:true))
+        ((name, "chaos"), chaos_artifact p ~observed)
+        :: List.map
+             (fun (k, d) -> ((name, k), d))
+             (run_plan p ~traced:true ~observed))
       (plans ())
   in
   fig_rows @ plan_rows
 
 let compute_untraced () =
-  List.map (fun (fig, build) -> (fig, run_fig build ~traced:false)) figs
-  @ List.map (fun (name, p) -> (name, run_plan p ~traced:false)) (plans ())
+  List.map
+    (fun (fig, build) -> (fig, run_fig build ~traced:false ~observed:false))
+    figs
+  @ List.map
+      (fun (name, p) -> (name, run_plan p ~traced:false ~observed:false))
+      (plans ())
 
 let expected =
   [
@@ -405,15 +418,21 @@ let dump () =
     (compute_traced ())
 
 let test_golden () =
-  let got = compute_traced () in
-  List.iter
-    (fun ((run, sink), want) ->
-      match List.assoc_opt (run, sink) got with
-      | None -> Alcotest.failf "%s/%s: no digest computed" run sink
-      | Some d ->
-          Alcotest.(check string) (Printf.sprintf "%s/%s digest" run sink) want d)
-    expected;
-  Alcotest.(check int) "digest count" (List.length expected) (List.length got)
+  let check_all arm got =
+    List.iter
+      (fun ((run, sink), want) ->
+        match List.assoc_opt (run, sink) got with
+        | None -> Alcotest.failf "%s/%s: no digest computed" run sink
+        | Some d ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s/%s digest%s" run sink arm)
+              want d)
+      expected;
+    Alcotest.(check int) ("digest count" ^ arm) (List.length expected)
+      (List.length got)
+  in
+  check_all "" (compute_traced ());
+  check_all " (no-op observer)" (compute_traced ~observed:true ())
 
 let test_tracer_only_observes () =
   List.iter

@@ -156,6 +156,27 @@ let test_distance_sanity_on_live_graphs () =
   Alcotest.(check (list string)) "estimates conservative" []
     (Invariants.strings (Invariants.distance_sanity eng))
 
+(* An agent at site 0 holds a remote reference to [o] at site 1, and
+   [o] holds [i] at site 2: [o] sits one hop from a root, so the
+   inref source for [i] may record distance 2. Held by an agent at
+   site 1 itself, [o] would be at distance 0 and 2 would be too much. *)
+let test_distance_sanity_remote_agent_root () =
+  let sim = Sim.make ~cfg:(cfg 3 1) () in
+  let eng = sim.Sim.eng in
+  let o = Builder.obj eng (s 1) and i = Builder.obj eng (s 2) in
+  Builder.link eng ~src:o ~dst:i;
+  Builder.set_source_distance eng ~inref:i ~src:(s 1) 2;
+  let held_at site =
+    Engine.set_extra_roots eng (fun id ->
+        if Site_id.equal id (s site) then [ o ] else [])
+  in
+  held_at 0;
+  Alcotest.(check (list string)) "remote agent root is one hop away" []
+    (Invariants.strings (Invariants.distance_sanity eng));
+  held_at 1;
+  Alcotest.(check int) "local agent root is at distance 0" 1
+    (List.length (Invariants.distance_sanity eng))
+
 let () =
   Alcotest.run "invariants"
     [
@@ -169,6 +190,8 @@ let () =
             test_holds_during_churn_pauses;
           Alcotest.test_case "distance estimates conservative" `Quick
             test_distance_sanity_on_live_graphs;
+          Alcotest.test_case "remote agent roots one hop away" `Quick
+            test_distance_sanity_remote_agent_root;
         ] );
       ( "detect",
         [
